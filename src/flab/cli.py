@@ -51,13 +51,6 @@ class DegenerateExperiment(FlabError):
     """Raised when an experiment degenerates (e.g. > 10% arc failures)."""
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -221,12 +214,7 @@ def _arc_data(cfg: gen.FurstenbergConfig, s_prime: float, eta_rule):
     failures = 0
     per_z_rows = []
     for idx, (z, angles) in enumerate(zip(fset.circles, fset.angular)):
-        pts = np.column_stack(
-            [
-                z.center[0] + z.radius * np.cos(angles),
-                z.center[1] + z.radius * np.sin(angles),
-            ]
-        )
+        pts = gen._circle_points(z, angles)
         try:
             if eta_rule == "auto":
                 eta = inc.auto_eta(z, pts, s_prime, delta, cfg.k1)
@@ -327,7 +315,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str) -> dict:
     c0 = float(config.get("c0", inc.C0_DEFAULT))
     delta = 2.0 ** (-k1)
     mu = fr.frostman_measure(v).scaled(1.0 / (k1 * k1))
-    field = inc.multiplicity_field(mu, delta, grid_k, workers=_workers())
+    field = inc.multiplicity_field(mu, delta, grid_k)
     params = inc.ThresholdParams.from_exponents(
         s_prime, t_prime, epsilon, k1, c0=c0
     )

@@ -20,18 +20,54 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput
-
-_DIM_OFFSET = 1 << 30  # shifts cell indices positive before key packing
+from .errors import ConfigInvalid, EmptyInput
 
 
 def _pack(idx: np.ndarray) -> np.ndarray:
-    """Pack (n, d) integer cell indices into scalar int64 keys."""
-    idx = idx + _DIM_OFFSET
-    key = idx[:, 0].astype(np.int64)
+    """Pack (n, d) integer cell indices into scalar int64 keys.
+
+    Each axis gets 63 // d bits (31 in 2-D, 21 in 3-D), offset to be
+    non-negative, so keys compare like the index rows lexicographically.
+    Raises ConfigInvalid when an index does not fit its field, rather than
+    merging distinct cells.
+    """
+    bits = 63 // idx.shape[1]
+    half = 1 << (bits - 1)
+    if idx.size and (idx.min() < -half or idx.max() >= half):
+        raise ConfigInvalid(
+            f"cell index outside [-2^{bits - 1}, 2^{bits - 1}): scale too fine "
+            f"for the coordinate range"
+        )
+    key = idx[:, 0].astype(np.int64) + half
     for axis in range(1, idx.shape[1]):
-        key = key * (1 << 31) + idx[:, axis]
+        key = (key << bits) | (idx[:, axis] + half)
     return key
+
+
+def _unpack(keys: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of _pack: (n,) keys back to (n, dim) int64 cell indices."""
+    bits = 63 // dim
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    return np.column_stack(
+        [((keys >> (bits * (dim - 1 - axis))) & mask) - half for axis in range(dim)]
+    )
+
+
+def _unique_runs(keys: np.ndarray):
+    """Stable sort-and-mask unique of int64 keys.
+
+    Returns (uniq, starts, order): the sorted distinct keys, the position in
+    the sorted sequence where each run of equal keys starts, and the stable
+    sorting permutation, so ``order[starts]`` is each key's first occurrence.
+    """
+    order = keys.argsort(kind="stable")
+    ks = keys[order]
+    first = np.empty(ks.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    return ks[starts], starts, order
 
 
 @dataclass
@@ -68,9 +104,10 @@ class PointCloud:
         cloud = cls(np.asarray(points, dtype=float), k)
         if dedupe and len(cloud) > 1:
             step = cloud.delta / 4.0
-            keys = _pack(np.floor(cloud.points / step).astype(np.int64))
-            _, first = np.unique(keys, return_index=True)
-            cloud = cls(cloud.points[np.sort(first)], k)
+            _, starts, order = _unique_runs(
+                _pack(np.floor(cloud.points / step).astype(np.int64))
+            )
+            cloud = cls(cloud.points[np.sort(order[starts])], k)
         return cloud
 
 
@@ -148,13 +185,12 @@ def extract_delta_q_set(
     else:
         pts_e = pts[even]
         idx_e = idx[even]
+        # First point of each cube in lexicographic point order.
         order = np.lexsort(tuple(pts_e[:, d] for d in reversed(range(pts_e.shape[1]))))
-        order = order[np.argsort(_pack(idx_e)[order], kind="stable")]
-        keys_sorted = _pack(idx_e)[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = keys_sorted[1:] != keys_sorted[:-1]
-        reps = pts_e[order[first]]
-        rep_idx = idx_e[order[first]]
+        _, starts, by_key = _unique_runs(_pack(idx_e)[order])
+        first = order[by_key[starts]]
+        reps = pts_e[first]
+        rep_idx = idx_e[first]
 
         # children[level j][cube] -> list of level-(j+1) sub-cubes; counts of
         # surviving candidates drive the greedy budget flow.
@@ -321,15 +357,9 @@ def _block_max_count(pts: np.ndarray, side: float) -> int:
     """
     idx = np.floor(pts / side).astype(np.int64)
     dim = pts.shape[1]
-    keys = _pack(idx)
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    uniq = np.ones(len(ks), dtype=bool)
-    uniq[1:] = ks[1:] != ks[:-1]
-    cells = ks[uniq]
-    starts = np.nonzero(uniq)[0]
-    counts = np.diff(np.append(starts, len(ks)))
-    base = idx[order][uniq]
+    cells, starts, order = _unique_runs(_pack(idx))
+    counts = np.diff(starts, append=len(idx))
+    base = idx[order[starts]]
     total = np.zeros(len(cells), dtype=np.int64)
     for off in np.ndindex(*([2] * dim)):
         neigh = _pack(base + np.array(off, dtype=np.int64))
@@ -475,8 +505,11 @@ def content_greedy(points, s: float, r_min: float, *, delta: float = None) -> Co
     while not covered.all():
         best = None  # (score, -(-level)...) choose max score, coarser, lower key
         live = ~covered
+        n_live = int(live.sum())
         for j in levels:
-            u, c = np.unique(keys[j][live], return_counts=True)
+            u, starts, _ = _unique_runs(keys[j][live])
+            # Run lengths; np.diff(append=) would cost more than the sort.
+            c = np.concatenate((starts[1:], [n_live])) - starts
             side = 2.0 ** (-j)
             w = (rootd * side) ** s
             scores = c / w

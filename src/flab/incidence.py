@@ -4,8 +4,8 @@ and annulus multiplicity fields.
 Cells are half-open dyadic squares [i*2^-k, (i+1)*2^-k) anchored at the
 origin; a cell is incident to an arc when it contains a cloud point of the
 arc, and multiplicity is evaluated at cell centers.  All reductions are
-accumulated in canonical (ascending atom / circle) order so results do not
-depend on worker count.
+accumulated in canonical (ascending atom / circle) order, so reruns agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFit, EmptyInput, InsufficientContent
-from .fractal import DiscreteMeasure, PointCloud, _pack, content_greedy, content_lower
+from .fractal import (
+    DiscreteMeasure,
+    PointCloud,
+    _pack,
+    _unique_runs,
+    _unpack,
+    content_greedy,
+    content_lower,
+)
 from .geometry import CircleParam
 
 C0_DEFAULT = 4.0 * math.pi + 2.0  # pinned area constant in |S^delta(z)| <= c0*delta
@@ -51,89 +59,65 @@ def box_count(cloud_or_points, k: int) -> CoverGrid:
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyInput("no points to count")
     idx = np.floor(pts * (1 << k)).astype(np.int64)
-    keys = _pack(idx)
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    uniq = np.ones(len(ks), dtype=bool)
-    uniq[1:] = ks[1:] != ks[:-1]
-    cells = idx[order][uniq]
-    cells = cells[np.lexsort(tuple(cells[:, d] for d in reversed(range(cells.shape[1]))))]
-    return CoverGrid(k=k, cells=cells)
+    _, starts, order = _unique_runs(_pack(idx))
+    return CoverGrid(k=k, cells=idx[order[starts]])
 
 
-class _UniqueAccumulator:
-    """Running sorted-unique set of integer keys, merged in chunks."""
-
-    def __init__(self, dtype, flush_at: int = 4_000_000):
-        self._running = np.empty(0, dtype=dtype)
-        self._buffer = []
-        self._buffered = 0
-        self._flush_at = flush_at
-
-    def add(self, keys: np.ndarray) -> None:
-        self._buffer.append(keys)
-        self._buffered += keys.size
-        if self._buffered >= self._flush_at:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._buffer:
-            return
-        u = np.unique(np.concatenate(self._buffer))
-        self._buffer = []
-        self._buffered = 0
-        if self._running.size == 0:
-            self._running = u
-            return
-        pos = np.searchsorted(self._running, u)
-        fresh = np.ones(u.size, dtype=bool)
-        inside = pos < self._running.size
-        fresh[inside] = self._running[pos[inside]] != u[inside]
-        u = u[fresh]
-        if u.size:
-            self._running = np.insert(self._running, np.searchsorted(self._running, u), u)
-
-    @property
-    def count(self) -> int:
-        self._flush()
-        return int(self._running.size)
+_MERGE_EVERY = 1 << 22  # buffered chunk cells between merges into the columns
 
 
-def box_counts_streaming(chunks, ks, bbox=None) -> dict:
-    """Box counts N(2^-k) for several k over a stream of 2-d point chunks.
+def box_counts_streaming(chunks, ks) -> dict:
+    """Box counts N(2^-k) for several k over a stream of point chunks.
 
-    ``bbox = ((lox, loy), (hix, hiy))`` lets cell keys fit in int32, halving
-    memory for very large clouds; points must then stay inside the box.
+    Only the finest scale is read from the points.  Each chunk's cells are
+    deduplicated, buffered, and merged into the sorted cell keys of their
+    column at the coarsest scale.  Every coarser count then follows exactly
+    from the finest cells by a right shift, floor(x 2^k) == floor(x 2^(k+1))
+    >> 1 (the hierarchical box count of Liebovitch & Toth, 1989).  Cells in
+    different coarsest columns never share a coarser cell, so each column is
+    counted on its own and memory stays near one key per finest cell.
     """
     ks = sorted(set(int(k) for k in ks))
-    accs = {}
-    meta = {}
-    for k in ks:
-        if bbox is not None:
-            (lox, loy), (hix, hiy) = bbox
-            ix0 = math.floor(lox * (1 << k))
-            iy0 = math.floor(loy * (1 << k))
-            ny = math.floor(hiy * (1 << k)) - iy0 + 1
-            nx = math.floor(hix * (1 << k)) - ix0 + 1
-            if nx * ny < 2 ** 31:
-                meta[k] = (ix0, iy0, ny)
-                accs[k] = _UniqueAccumulator(np.int32)
-                continue
-        meta[k] = None
-        accs[k] = _UniqueAccumulator(np.int64)
+    if not ks:
+        return {}
+    top, span = ks[-1], ks[-1] - ks[0]
+    dim = 2
+    columns = {}
+    pending = []
+
+    def merge():
+        fresh, _, _ = _unique_runs(np.concatenate(pending))
+        pending.clear()
+        col = _unpack(fresh, dim)[:, 0] >> span
+        cut = np.flatnonzero(np.diff(col)) + 1
+        for c, part in zip(col[np.r_[0, cut]].tolist(), np.split(fresh, cut)):
+            if c in columns:
+                part, _, _ = _unique_runs(np.concatenate([columns[c], part]))
+            columns[c] = part
+
+    buffered = 0
     for chunk in chunks:
         pts = np.asarray(chunk, dtype=float)
         if pts.size == 0:
             continue
-        for k in ks:
-            idx = np.floor(pts * (1 << k)).astype(np.int64)
-            if meta[k] is not None:
-                ix0, iy0, ny = meta[k]
-                keys = ((idx[:, 0] - ix0) * ny + (idx[:, 1] - iy0)).astype(np.int32)
-            else:
-                keys = _pack(idx)
-            accs[k].add(keys)
-    return {k: accs[k].count for k in ks}
+        dim = pts.shape[1]
+        keys, _, _ = _unique_runs(_pack(np.floor(pts * (1 << top)).astype(np.int64)))
+        pending.append(keys)
+        buffered += keys.size
+        if buffered >= _MERGE_EVERY:
+            merge()
+            buffered = 0
+    if pending:
+        merge()
+    counts = dict.fromkeys(ks, 0)
+    for keys in columns.values():
+        cells, finer = _unpack(keys, dim), top
+        for k in reversed(ks):
+            cells = cells >> (finer - k)
+            _, starts, order = _unique_runs(_pack(cells))
+            cells, finer = cells[order[starts]], k
+            counts[k] += len(cells)
+    return counts
 
 
 def dimension_slope(counts) -> float:
@@ -184,6 +168,22 @@ def circle_angles(z: CircleParam, pts: np.ndarray) -> np.ndarray:
     )
 
 
+def _require_content(pts: np.ndarray, s_prime: float, delta: float, eta: float) -> None:
+    """Raise InsufficientContent unless the content lower estimate reaches eta.
+
+    A subset's content bounds the set's from below, so a decimated check is
+    valid; fall back to the full cloud if it is shy.
+    """
+    stride = max(1, -(-pts.shape[0] // 1024))
+    lower = content_lower(pts[::stride], s_prime, delta)
+    if lower < eta:
+        lower = content_lower(pts, s_prime, delta)
+    if lower < eta:
+        raise InsufficientContent(
+            f"content lower estimate {lower:.4g} below eta {eta:.4g}"
+        )
+
+
 def auto_eta(z: CircleParam, pts: np.ndarray, s_prime: float, delta: float, k1: int) -> float:
     """Discretization-aware content threshold.
 
@@ -194,16 +194,7 @@ def auto_eta(z: CircleParam, pts: np.ndarray, s_prime: float, delta: float, k1: 
     eta = max(1.0 / (k1 * k1), 16.0 * (2.0 * delta) ** s_prime)
     if eta > 1.0 + 1e-12:
         raise InsufficientContent("resolution too coarse for this exponent")
-    # A subset's content bounds the set's from below, so a decimated
-    # feasibility check is valid; fall back to the full cloud if it is shy.
-    stride = max(1, -(-pts.shape[0] // 1024))
-    lower = content_lower(pts[::stride], s_prime, delta)
-    if lower < eta:
-        lower = content_lower(pts, s_prime, delta)
-    if lower < eta:
-        raise InsufficientContent(
-            f"content lower estimate {lower:.4g} below eta {eta:.4g}"
-        )
+    _require_content(pts, s_prime, delta, eta)
     return eta
 
 
@@ -228,14 +219,7 @@ def extract_three_arcs(
     if pts.shape[0] == 0:
         raise InsufficientContent("empty circle cloud")
     if content_check:
-        stride = max(1, -(-pts.shape[0] // 1024))
-        lower = content_lower(pts[::stride], s_prime, delta)
-        if lower < eta:
-            lower = content_lower(pts, s_prime, delta)
-        if lower < eta:
-            raise InsufficientContent(
-                f"content lower estimate {lower:.4g} below eta {eta:.4g}"
-            )
+        _require_content(pts, s_prime, delta, eta)
     r = z.radius
     gamma = (eta / 16.0) ** (1.0 / s_prime)
     assert gamma <= 1.0 / 16.0 + 1e-12
@@ -416,7 +400,8 @@ def _annulus_cells(cx: float, cy: float, r: float, delta: float, g: float) -> np
     if not rows:
         return np.empty((0, 2), dtype=np.int64)
     cand = np.concatenate(rows)
-    cand = np.unique(cand, axis=0)
+    _, starts, order = _unique_runs(_pack(cand))
+    cand = cand[order[starts]]
     wx = (cand[:, 0] + 0.5) * g
     wyc = (cand[:, 1] + 0.5) * g
     dist = np.hypot(wx - cx, wyc - cy)
@@ -430,28 +415,18 @@ def multiplicity_field(
     grid_k: int,
     *,
     keep_cells: bool = True,
-    workers: Optional[int] = None,
 ) -> MultiplicityField:
     """m(w) = sum of weights of atoms z = (x, r) with | ||w-x|| - r | <= delta,
     evaluated at the centers w of cells of side 2^-grid_k.
 
-    Atom geometry may be computed by a worker pool (FLAB_THREADS); the
-    accumulation happens in ascending atom order regardless of workers.
+    The accumulation happens in ascending atom order.
     """
     g = 2.0 ** (-grid_k)
     atoms = measure.points
     n = atoms.shape[0]
-
-    def job(i):
-        return _annulus_cells(atoms[i, 0], atoms[i, 1], atoms[i, 2], delta, g)
-
-    if workers is not None and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            cell_lists = list(ex.map(job, range(n)))
-    else:
-        cell_lists = [job(i) for i in range(n)]
+    cell_lists = [
+        _annulus_cells(atoms[i, 0], atoms[i, 1], atoms[i, 2], delta, g) for i in range(n)
+    ]
 
     values: dict = {}
     incid: dict = {}

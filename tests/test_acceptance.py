@@ -297,11 +297,7 @@ def test_criterion_5_dimension_bound_consistency():
         m_t, pat_t = gen.choose_cantor_base(cfg.t)
         realized_s = 1.0 if s == 1.0 else gen.CantorSpec(*base, 1).realized_dim
         realized_t = gen.CantorSpec(m_t, pat_t, 1).realized_dim
-        counts = inc.box_counts_streaming(
-            gen.iter_furstenberg_points(cfg),
-            range(6, 13),
-            bbox=((-2.3, -2.3), (2.3, 2.3)),
-        )
+        counts = inc.box_counts_streaming(gen.iter_furstenberg_points(cfg), range(6, 13))
         slope = inc.dimension_slope(sorted(counts.items()))
         bound = max(
             realized_t / 3.0 + realized_s, (2.0 * realized_s - 1.0) * realized_t + realized_s

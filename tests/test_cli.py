@@ -174,20 +174,6 @@ class TestMultiplicity:
         ratios = (out2 / "s2_ratios.csv").read_text().splitlines()
         assert ratios[0] == "z_index,s1_cells,s2_cells,ratio,threshold"
 
-    def test_threads_env_equivalence(self, gen_run, tmp_path, monkeypatch):
-        base, out = gen_run
-        cfg = write_json(
-            tmp_path / "m.json",
-            {"v": str(out / "v.csv"), "s_prime": 0.8, "t_prime": 0.6, "epsilon": 0.1},
-        )
-        o1, o2 = tmp_path / "w1", tmp_path / "w2"
-        monkeypatch.setenv("FLAB_THREADS", "1")
-        assert run(["multiplicity", "--config", cfg, "--out", o1]) == 0
-        monkeypatch.setenv("FLAB_THREADS", "4")
-        assert run(["multiplicity", "--config", cfg, "--out", o2]) == 0
-        assert (o1 / "cells_m.csv").read_bytes() == (o2 / "cells_m.csv").read_bytes()
-        assert (o1 / "summary.json").read_bytes() == (o2 / "summary.json").read_bytes()
-
 
 class TestReport:
     def test_end_to_end_deterministic_up_to_wall_times(self, tmp_path):

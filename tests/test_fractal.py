@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from flab import fractal as fr
-from flab.errors import EmptyInput
+from flab.errors import ConfigInvalid, EmptyInput
 
 
 def line_grid(k):
@@ -31,6 +33,40 @@ def min_separation(pts):
     tree = cKDTree(pts)
     dd, _ = tree.query(pts, k=2)
     return float(dd[:, 1].min())
+
+
+def index_rows(dim):
+    """(n, dim) int64 cell indices inside the guarded key range."""
+    half = 1 << (63 // dim - 1)
+    coord = st.one_of(st.integers(-3, 3), st.integers(-half, half - 1))
+    return st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=60).map(
+        lambda rows: np.array(rows, dtype=np.int64)
+    )
+
+
+class TestCellKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(index_rows))
+    def test_unique_count_and_lexicographic_order(self, idx):
+        uniq, starts, order = fr._unique_runs(fr._pack(idx))
+        distinct = sorted(set(map(tuple, idx.tolist())))
+        assert uniq.size == len(distinct)
+        assert list(map(tuple, fr._unpack(uniq, idx.shape[1]).tolist())) == distinct
+        assert list(map(tuple, idx[order[starts]].tolist())) == distinct
+
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_out_of_range_index_raises(self, dim, data):
+        half = 1 << (63 // dim - 1)
+        idx = np.zeros((2, dim), dtype=np.int64)
+        idx[1, data.draw(st.integers(0, dim - 1))] = data.draw(
+            st.one_of(st.integers(-(1 << 62), -half - 1), st.integers(half, 1 << 62))
+        )
+        with pytest.raises(ConfigInvalid):
+            fr._pack(idx)
+
+    def test_create_keeps_3d_points_four_cells_apart(self):
+        pts = np.array([[0.0, 0.0, 1.0], [4 * 2.0 ** -8, 0.0, 1.0]])
+        assert len(fr.PointCloud.create(pts, 8)) == 2
 
 
 class TestPointCloudCsv:

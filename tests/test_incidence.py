@@ -1,12 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flab import fractal as fr
 from flab import generators as gen
 from flab import incidence as inc
-from flab.errors import DegenerateFit, InsufficientContent
+from flab.errors import ConfigInvalid, DegenerateFit, InsufficientContent
 from flab.generators import FurstenbergConfig
 from flab.geometry import CircleParam
 
@@ -68,10 +72,33 @@ class TestBoxCount:
         direct = {k: inc.box_count(pts, k).count for k in ks}
         chunked = inc.box_counts_streaming([pts[:1234], pts[1234:]], ks)
         assert chunked == direct
-        with_bbox = inc.box_counts_streaming(
-            [pts[:100], pts[100:]], ks, bbox=((-2.1, -2.1), (2.1, 2.1))
-        )
-        assert with_bbox == direct
+        small_first = inc.box_counts_streaming([pts[:100], pts[100:]], ks)
+        assert small_first == direct
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 300), st.just(2)),
+               elements=st.floats(-2.0, 2.0)),
+        st.lists(st.integers(0, 300), max_size=5),
+        st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    )
+    def test_streaming_matches_box_count_on_any_split(self, pts, cuts, ks):
+        chunks = np.split(pts, sorted(set(cuts)))
+        direct = {k: inc.box_count(pts, k).count for k in set(ks)}
+        assert inc.box_counts_streaming(chunks, ks) == direct
+        with mock.patch.object(inc, "_MERGE_EVERY", 1):  # merge after every chunk
+            assert inc.box_counts_streaming(chunks, ks) == direct
+
+    def test_3d_cells_four_apart_stay_distinct(self):
+        pts = np.array([[0.0, 0.0, 1.0], [4 * 2.0 ** -8, 0.0, 1.0]])
+        assert inc.box_count(pts, 8).count == 2
+
+    def test_scale_beyond_key_range_raises(self):
+        pts = np.array([[0.0, 1.0], [2.0 ** -31, 0.0]])
+        with pytest.raises(ConfigInvalid):
+            inc.box_count(pts, 31)
+        with pytest.raises(ConfigInvalid):
+            inc.box_counts_streaming([pts], [29, 30, 31])
 
 
 class TestDimensionSlope:
@@ -322,14 +349,6 @@ class TestMultiplicity:
         field = inc.multiplicity_field(mu, cfg.delta, 7)
         brute = brute_multiplicity(mu, cfg.delta, 7, ((-2.2, -2.2), (2.2, 2.2)))
         assert field.values == brute
-
-    def test_workers_do_not_change_results(self):
-        cfg = FurstenbergConfig(s=1.0, t=0.5, k1=7, preset="radius-graph", seed=13)
-        v = gen.generate_parameter_set(cfg)
-        mu = fr.frostman_measure(v.cloud)
-        f1 = inc.multiplicity_field(mu, cfg.delta, 7, workers=1)
-        f2 = inc.multiplicity_field(mu, cfg.delta, 7, workers=3)
-        assert f1.values == f2.values
 
     def test_fubini_identity(self):
         cfg = FurstenbergConfig(s=1.0, t=1.0, k1=7, preset="concentric", seed=21)
