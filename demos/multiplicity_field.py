@@ -27,18 +27,18 @@ mu = frostman_measure(v.cloud).scaled(1.0 / (k1 * k1))
 field = multiplicity_field(mu, cfg.delta, k1)
 
 print(f"{len(v.cloud)} circles, grid 2^-{k1}, total mass {mu.total_mass:.5f}")
-print(f"field: {len(field.values)} cells, sup m = {field.sup:.5f}")
+print(f"field: {len(field.cells)} cells, sup m = {field.sup:.5f}")
 
 hist = Counter()
 w0 = float(mu.weights[0])
-for m in field.values.values():
+for m in field.values.tolist():
     hist[round(m / w0)] += 1
 print("multiplicity histogram (count of covering circles -> cells):")
 for mult in sorted(hist)[:8]:
     print(f"  {mult:3d} circles: {hist[mult]:7d} cells")
 
-lhs = math.fsum(field.values.values())
-rhs = math.fsum(float(mu.weights[i]) * int(field.per_atom_counts[i]) for i in range(len(mu)))
+lhs = math.fsum(field.values.tolist())
+rhs = math.fsum((mu.weights * field.per_atom_counts).tolist())
 print(f"mass integral: sum_w m(w) = {lhs:.6f} = sum_z weight * cells = {rhs:.6f}")
 
 params = ThresholdParams.from_exponents(0.8, 0.6, 0.1, k1)

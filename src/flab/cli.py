@@ -8,8 +8,9 @@ writes a machine-readable summary.json (schema_version 1).  Re-running a
 command with identical inputs and seed reproduces the data files byte for
 byte; the only exception is the wall_times block of `report`.
 
-Exit codes: 0 success, 2 config parse/shape error, 3 invariant violation,
-4 missing input file, 5 experiment degeneracy.
+Exit codes: 0 success, 2 config parse/shape error (a non-integer integer
+field included), 3 invariant violation or any other library error, 4 missing
+input file, 5 experiment degeneracy.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from . import fractal as fr
 from . import generators as gen
 from . import geometry as geo
 from . import incidence as inc
-from .errors import (
-    ConfigInvalid,
-    DegenerateFit,
-    EmptyInput,
-    FlabError,
-    InsufficientContent,
-)
+from .errors import ConfigInvalid, EmptyInput, FlabError, InsufficientContent
 
 SCHEMA_VERSION = 1
 
@@ -124,6 +119,7 @@ def cmd_boxdim(config: dict, seed, outdir: str) -> dict:
     k_range = config.get("k_range")
     if not k_range:
         raise ValueError("boxdim config needs `k_range`")
+    k_range = [gen._json_int(k, "k_range entry") for k in k_range]
     cloud = fr.load_csv(path)
     if len(cloud) == 0:
         raise EmptyInput("cloud file has no points")
@@ -156,10 +152,12 @@ def _random_frame(rng, c):
 
 
 def cmd_lemma3c(config: dict, seed, outdir: str) -> dict:
-    trials = int(config.get("trials", 0))
+    trials = gen._json_int(config.get("trials", 0), "trials")
     if trials < 1:
         raise ValueError("lemma3c config needs `trials` >= 1")
-    rng = np.random.default_rng(seed if seed is not None else config.get("seed", 0))
+    if seed is None:
+        seed = gen._json_int(config.get("seed", 0), "seed")
+    rng = np.random.default_rng(seed)
     rows = []
     violations = 0
     max_ratio = 0.0
@@ -308,7 +306,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str) -> dict:
     if v.dim != 3:
         raise ConfigInvalid("v must be a 3-column (center, radius) cloud")
     k1 = v.k
-    grid_k = int(config.get("grid_k", k1))
+    grid_k = gen._json_int(config.get("grid_k", k1), "grid_k")
     s_prime = float(config.get("s_prime", 0.75))
     t_prime = float(config.get("t_prime", 0.5))
     epsilon = float(config.get("epsilon", 0.1))
@@ -319,11 +317,10 @@ def cmd_multiplicity(config: dict, seed, outdir: str) -> dict:
     params = inc.ThresholdParams.from_exponents(
         s_prime, t_prime, epsilon, k1, c0=c0
     )
-    cells = sorted(field.values)
     _write_csv(
         os.path.join(outdir, "cells_m.csv"),
         "ix,iy,m",
-        [(ix, iy, field.values[(ix, iy)]) for ix, iy in cells],
+        zip(field.cells[:, 0].tolist(), field.cells[:, 1].tolist(), field.values.tolist()),
     )
     ratio_rows = []
     for idx in range(len(v)):
@@ -334,14 +331,12 @@ def cmd_multiplicity(config: dict, seed, outdir: str) -> dict:
         "z_index,s1_cells,s2_cells,ratio,threshold",
         ratio_rows,
     )
-    lhs = math.fsum(field.values.values())
-    rhs = math.fsum(
-        float(mu.weights[i]) * int(field.per_atom_counts[i]) for i in range(len(v))
-    )
-    fubini_exact = sum(field.incidences.values()) == int(field.per_atom_counts.sum())
+    lhs = math.fsum(field.values.tolist())
+    rhs = math.fsum((mu.weights * field.per_atom_counts).tolist())
+    fubini_exact = int(field.incidences.sum()) == int(field.per_atom_counts.sum())
     log.info(
         "multiplicity: %d cells, sup m = %.3g, fubini exact: %s",
-        len(field.values),
+        len(field.cells),
         field.sup,
         fubini_exact,
     )
@@ -349,7 +344,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str) -> dict:
         "command": "multiplicity",
         "n_circles": len(v),
         "grid_k": grid_k,
-        "n_cells": len(field.values),
+        "n_cells": len(field.cells),
         "sup_m": field.sup,
         "mass_integral": lhs,
         "mass_integral_by_atoms": rhs,
@@ -452,7 +447,7 @@ def main(argv=None) -> int:
     except DegenerateExperiment as e:
         log.error("degenerate experiment: %s", e)
         return EXIT_DEGENERATE
-    except (ConfigInvalid, EmptyInput, DegenerateFit) as e:
+    except FlabError as e:
         log.error("invariant violation: %s", e)
         return EXIT_INVARIANT
 

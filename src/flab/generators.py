@@ -118,6 +118,13 @@ def _levels_for_separation(m: int, pattern, length: float, min_gap: float) -> in
             return levels
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` when it is a JSON integer (a bool is not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FurstenbergConfig:
     """Target exponents s, t in (0,1], scale k1 (delta = 2^-k1), preset, seed.
@@ -165,13 +172,16 @@ class FurstenbergConfig:
             c = data["cantor"]
             if set(c) != {"m", "pattern"}:
                 raise ValueError("cantor must have exactly the fields m, pattern")
-            cantor = (int(c["m"]), tuple(int(i) for i in c["pattern"]))
+            cantor = (
+                _json_int(c["m"], "cantor.m"),
+                tuple(_json_int(i, "cantor.pattern entry") for i in c["pattern"]),
+            )
         return cls(
             s=float(data["s"]),
             t=float(data["t"]),
-            k1=int(data["k1"]),
+            k1=_json_int(data["k1"], "k1"),
             preset=str(data["preset"]),
-            seed=int(data["seed"]),
+            seed=_json_int(data["seed"], "seed"),
             cantor=cantor,
         )
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -354,98 +353,93 @@ def step4_reference_count(s_prime: float, k1: int) -> float:
 
 @dataclass
 class MultiplicityField:
-    """Sparse multiplicity values m(w) at cell centers w, with the per-atom
-    annulus cell lists needed for exact bookkeeping."""
+    """Multiplicity values m(w) at the centers w of the annulus cells.
+
+    ``cells`` is the (n, 2) int64 array of every cell some annulus meets, in
+    lexicographic order; ``values`` (m) and ``incidences`` (the number of
+    covering atoms) are (n,) arrays aligned with it.  ``positions`` holds
+    each atom's annulus cells as indices into ``cells``, in lexicographic
+    order, concatenated in atom order; ``per_atom_counts`` gives each atom's
+    share.  Every value is the left-to-right float sum of its covering
+    atoms' weights in ascending atom order, so reruns agree bit for bit.
+    """
 
     delta: float
     grid_k: int
-    values: dict
-    incidences: dict
+    cells: np.ndarray
+    values: np.ndarray
+    incidences: np.ndarray
     per_atom_counts: np.ndarray
-    per_atom_cells: Optional[list]
+    positions: np.ndarray
     total_mass: float
 
     @property
     def sup(self) -> float:
-        return max(self.values.values()) if self.values else 0.0
+        return float(self.values.max()) if self.values.size else 0.0
 
 
-def _annulus_cells(cx: float, cy: float, r: float, delta: float, g: float) -> np.ndarray:
-    """Cells whose center w satisfies | ||w - (cx,cy)|| - r | <= delta."""
+def _runs(lo: np.ndarray, n: np.ndarray):
+    """Run index and value of every entry of the integer runs lo[j] .. lo[j] + n[j] - 1."""
+    run = np.repeat(np.arange(n.size), n)
+    return run, (lo + n - np.cumsum(n))[run] + np.arange(run.size)
+
+
+def _annulus_cells(atoms: np.ndarray, delta: float, g: float):
+    """Incidences of cells of side g whose center w satisfies
+    | ||w - x|| - r | <= delta, for every atom (x, r) at once.
+
+    Returns (atom, keys): the atom index and packed cell key of each
+    incidence, atom-major and each atom's cells in lexicographic order.
+    """
+    cx, cy, r = atoms[:, 0], atoms[:, 1], atoms[:, 2]
     r_out = r + delta
-    r_in = max(r - delta, 0.0)
-    iy_lo = math.floor((cy - r_out) / g)
-    iy_hi = math.floor((cy + r_out) / g)
-    iy = np.arange(iy_lo, iy_hi + 1, dtype=np.int64)
-    wy = (iy + 0.5) * g
-    dy2 = (wy - cy) ** 2
-    raw_out2 = r_out ** 2 - dy2
-    out2 = np.maximum(raw_out2, 0.0)
-    in2 = np.maximum(r_in ** 2 - dy2, 0.0)
+    r_in = np.maximum(r - delta, 0.0)
+    iy_lo = np.floor((cy - r_out) / g).astype(np.int64)
+    n_rows = np.floor((cy + r_out) / g).astype(np.int64) - iy_lo + 1
+    atom, iy = _runs(iy_lo, n_rows)
+    dy = (iy + 0.5) * g - cy[atom]
+    out2 = r_out[atom] ** 2 - dy ** 2
+    live = out2 >= 0.0
+    atom, iy, dy, out2 = atom[live], iy[live], dy[live], out2[live]
+    x = cx[atom]
     xhi = np.sqrt(out2)
-    xlo = np.sqrt(in2)
-    rows = []
-    for j in range(iy.size):
-        if raw_out2[j] < 0.0:
-            continue
-        # right branch [cx + xlo, cx + xhi], left branch mirrored
-        for a, b in (
-            (cx - xhi[j], cx - xlo[j]),
-            (cx + xlo[j], cx + xhi[j]),
-        ):
-            ilo = math.floor(a / g) - 1
-            ihi = math.floor(b / g) + 1
-            ix = np.arange(ilo, ihi + 1, dtype=np.int64)
-            rows.append(np.column_stack([ix, np.full_like(ix, iy[j])]))
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    cand = np.concatenate(rows)
-    _, starts, order = _unique_runs(_pack(cand))
-    cand = cand[order[starts]]
-    wx = (cand[:, 0] + 0.5) * g
-    wyc = (cand[:, 1] + 0.5) * g
-    dist = np.hypot(wx - cx, wyc - cy)
-    keep = np.abs(dist - r) <= delta
-    return cand[keep]
+    xlo = np.sqrt(np.maximum(r_in[atom] ** 2 - dy ** 2, 0.0))
+    # left branch [x - xhi, x - xlo] and right branch [x + xlo, x + xhi],
+    # each padded by one cell; a row whose two ranges overlap scans their union
+    lo = np.floor(np.array([x - xhi, x + xlo]) / g).astype(np.int64) - 1
+    hi = np.floor(np.array([x - xlo, x + xhi]) / g).astype(np.int64) + 1
+    split = lo[1] > hi[0]
+    seg_row = np.concatenate([np.arange(atom.size), split.nonzero()[0]])
+    seg_lo = np.concatenate([lo[0], lo[1][split]])
+    seg_hi = np.concatenate([np.where(split, hi[0], hi[1]), hi[1][split]])
+    row, ix = _runs(seg_lo, seg_hi - seg_lo + 1)
+    row = seg_row[row]
+    keep = np.abs(np.hypot((ix + 0.5) * g - x[row], dy[row]) - r[atom[row]]) <= delta
+    row = row[keep]
+    atom = atom[row]
+    keys = _pack(np.column_stack([ix[keep], iy[row]]))
+    order = np.lexsort((keys, atom))
+    return atom[order], keys[order]
 
 
-def multiplicity_field(
-    measure: DiscreteMeasure,
-    delta: float,
-    grid_k: int,
-    *,
-    keep_cells: bool = True,
-) -> MultiplicityField:
+def multiplicity_field(measure: DiscreteMeasure, delta: float, grid_k: int) -> MultiplicityField:
     """m(w) = sum of weights of atoms z = (x, r) with | ||w-x|| - r | <= delta,
     evaluated at the centers w of cells of side 2^-grid_k.
 
     The accumulation happens in ascending atom order.
     """
-    g = 2.0 ** (-grid_k)
-    atoms = measure.points
-    n = atoms.shape[0]
-    cell_lists = [
-        _annulus_cells(atoms[i, 0], atoms[i, 1], atoms[i, 2], delta, g) for i in range(n)
-    ]
-
-    values: dict = {}
-    incid: dict = {}
-    counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        wgt = float(measure.weights[i])
-        cells = cell_lists[i]
-        counts[i] = cells.shape[0]
-        for row in cells:
-            key = (int(row[0]), int(row[1]))
-            values[key] = values.get(key, 0.0) + wgt
-            incid[key] = incid.get(key, 0) + 1
+    atom, keys = _annulus_cells(measure.points, delta, 2.0 ** (-grid_k))
+    uniq, _, _ = _unique_runs(keys)
+    pos = np.searchsorted(uniq, keys)
+    # bincount adds in input order, which is atom-major
     return MultiplicityField(
         delta=delta,
         grid_k=grid_k,
-        values=values,
-        incidences=incid,
-        per_atom_counts=counts,
-        per_atom_cells=cell_lists if keep_cells else None,
+        cells=_unpack(uniq, 2),
+        values=np.bincount(pos, weights=measure.weights[atom], minlength=uniq.size),
+        incidences=np.bincount(pos, minlength=uniq.size),
+        per_atom_counts=np.bincount(atom, minlength=len(measure)),
+        positions=pos,
         total_mass=measure.total_mass,
     )
 
@@ -518,11 +512,10 @@ def low_multiplicity_subset(
     """Cells of the atom's annulus with multiplicity strictly below the
     threshold, plus area statistics.  The 1/2 area ratio is a reported
     statistic, not an asserted invariant."""
-    if field.per_atom_cells is None:
-        raise ValueError("field was built with keep_cells=False")
-    s1 = field.per_atom_cells[atom_idx]
-    m = np.array([field.values[(int(r[0]), int(r[1]))] for r in s1])
-    low = m < params.threshold
+    start = int(field.per_atom_counts[:atom_idx].sum())
+    pos = field.positions[start : start + int(field.per_atom_counts[atom_idx])]
+    s1 = field.cells[pos]
+    low = field.values[pos] < params.threshold
     g = 2.0 ** (-field.grid_k)
     delta = field.delta
     s1_area = s1.shape[0] * g * g

@@ -6,6 +6,8 @@ import pytest
 
 from flab import cli
 from flab import fractal as fr
+from flab import geometry as geo
+from flab.errors import DegenerateTriangle
 
 
 def write_json(path, payload):
@@ -61,6 +63,40 @@ class TestGen:
         assert run(["gen", "--config", cfg, "--seed", 999, "--out", out2]) == 0
         assert (out / "cloud.csv").read_bytes() != (out2 / "cloud.csv").read_bytes()
         assert (out / "v.csv").read_bytes() == (out2 / "v.csv").read_bytes()
+
+
+# (command, config under a directory holding v.csv and cloud.csv), one per
+# integer field; each value would truncate to a valid integer
+NON_INTEGER_FIELDS = {
+    "k1": ("gen", lambda d: {**GEN_CFG, "k1": 6.9}),
+    "k1-string": ("gen", lambda d: {**GEN_CFG, "k1": "6"}),
+    "seed": ("gen", lambda d: {**GEN_CFG, "seed": 2.5}),
+    "seed-bool": ("gen", lambda d: {**GEN_CFG, "seed": True}),
+    "cantor.m": ("gen", lambda d: {**GEN_CFG, "cantor": {"m": 4.0, "pattern": [0, 3]}}),
+    "cantor.pattern": ("gen", lambda d: {**GEN_CFG, "cantor": {"m": 4, "pattern": [0, 2.5]}}),
+    "grid_k": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "grid_k": 6.7}),
+    "trials": ("lemma3c", lambda d: {"trials": 2.9}),
+    "lemma3c-seed": ("lemma3c", lambda d: {"trials": 3, "seed": True}),
+    "k_range": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"), "k_range": [4, 5.5, 6]}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
+def test_non_integer_field_exit2(field, tmp_path):
+    command, config = NON_INTEGER_FIELDS[field]
+    fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
+    fr.save_csv(fr.PointCloud(np.array([[0.1, 0.2]]), 6), tmp_path / "cloud.csv")
+    cfg = write_json(tmp_path / "c.json", config(tmp_path))
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def test_library_error_exit3(tmp_path, monkeypatch):
+    def collinear(*args, **kwargs):
+        raise DegenerateTriangle("collinear frame")
+
+    monkeypatch.setattr(geo.TriangleFrame, "create", collinear)
+    cfg = write_json(tmp_path / "l.json", {"trials": 3})
+    assert run(["lemma3c", "--config", cfg, "--out", tmp_path / "o"]) == 3
 
 
 class TestBoxdim:

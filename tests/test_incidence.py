@@ -332,7 +332,7 @@ class TestMultiplicity:
     def test_single_circle_field(self):
         mu = fr.DiscreteMeasure(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]), uniform=True)
         field = inc.multiplicity_field(mu, 2.0 ** (-7), 7)
-        assert set(field.values.values()) == {1.0}
+        assert set(field.values.tolist()) == {1.0}
         assert field.sup <= mu.total_mass
 
     def test_disjoint_annuli(self):
@@ -348,15 +348,47 @@ class TestMultiplicity:
         mu = fr.frostman_measure(v.cloud).scaled(1.0 / 49.0)
         field = inc.multiplicity_field(mu, cfg.delta, 7)
         brute = brute_multiplicity(mu, cfg.delta, 7, ((-2.2, -2.2), (2.2, 2.2)))
-        assert field.values == brute
+        assert dict(zip(map(tuple, field.cells.tolist()), field.values.tolist())) == brute
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k1=st.integers(5, 7),
+        dk=st.sampled_from([-1, 1]),
+        atoms=st.lists(
+            st.tuples(
+                st.just(0.0) | st.floats(-0.17, 0.17),
+                st.floats(-0.17, 0.17),
+                st.floats(0.5, 2.0),
+                st.floats(0.01, 1.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        mass=st.floats(0.1, 1.0),
+        tiny=st.none() | st.floats(0.0, 0.99),
+    )
+    def test_random_measures_match_brute_force_exactly(self, k1, dk, atoms, mass, tiny):
+        # atoms in the reference box with non-uniform weights, a grid finer or
+        # coarser than delta, and optionally a radius below delta (r_in = 0)
+        delta = 2.0 ** (-k1)
+        rows = [(cx, cy, r) for cx, cy, r, _ in atoms]
+        raw = [w for *_, w in atoms]
+        if tiny is not None:
+            rows.append((rows[0][1], rows[0][0], tiny * delta))
+            raw.append(raw[0] / 3.0)
+        weights = np.array(raw) / math.fsum(raw) * mass
+        mu = fr.DiscreteMeasure(np.array(rows), weights)
+        field = inc.multiplicity_field(mu, delta, k1 + dk)
+        brute = brute_multiplicity(mu, delta, k1 + dk, ((-2.3, -2.3), (2.3, 2.3)))
+        assert dict(zip(map(tuple, field.cells.tolist()), field.values.tolist())) == brute
 
     def test_fubini_identity(self):
         cfg = FurstenbergConfig(s=1.0, t=1.0, k1=7, preset="concentric", seed=21)
         v = gen.generate_parameter_set(cfg)
         mu = fr.frostman_measure(v.cloud)
         field = inc.multiplicity_field(mu, cfg.delta, 7)
-        assert sum(field.incidences.values()) == int(field.per_atom_counts.sum())
-        lhs = math.fsum(field.values.values())
+        assert sum(field.incidences.tolist()) == int(field.per_atom_counts.sum())
+        lhs = math.fsum(field.values.tolist())
         rhs = math.fsum(
             float(mu.weights[i]) * int(field.per_atom_counts[i]) for i in range(len(mu))
         )
