@@ -4,7 +4,11 @@
 [--seed <u64>] --out <dir>``
 
 All logs go to stderr; all data go to files under --out.  Every command
-writes a machine-readable summary.json (schema_version 1).  Re-running a
+writes a machine-readable summary.json (schema_version 1).  `report` builds
+the set once and hands it to the boxdim, triples and multiplicity stages in
+memory, so it writes each file once and reads none back.  Run alone, boxdim
+and multiplicity read their input from a CSV file and triples builds its set
+from a generator config; the stage code is the same.  Re-running a
 command with identical inputs and seed reproduces the data files byte for
 byte; the only exception is the wall_times block of `report`.
 
@@ -66,13 +70,6 @@ def _write_summary(outdir: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
 def _generator_config(data: dict, seed_override) -> gen.FurstenbergConfig:
     if seed_override is not None:
         data = {**data, "seed": int(seed_override)}
@@ -82,7 +79,8 @@ def _generator_config(data: dict, seed_override) -> gen.FurstenbergConfig:
         raise ValueError(str(e)) from e
 
 
-def cmd_gen(config: dict, seed, outdir: str) -> dict:
+def cmd_gen(config: dict, seed, outdir: str):
+    """Build the set and write v.csv and cloud.csv; returns (set, summary)."""
     cfg = _generator_config(config, seed)
     fset = gen.assemble_furstenberg(cfg)
     fr.save_csv(fset.v.cloud, os.path.join(outdir, "v.csv"))
@@ -94,7 +92,7 @@ def cmd_gen(config: dict, seed, outdir: str) -> dict:
         fset.realized_s,
         fset.realized_t,
     )
-    return {
+    return fset, {
         "command": "gen",
         "config": {
             "s": cfg.s,
@@ -112,20 +110,21 @@ def cmd_gen(config: dict, seed, outdir: str) -> dict:
     }
 
 
-def cmd_boxdim(config: dict, seed, outdir: str) -> dict:
-    path = config.get("cloud")
-    if not path:
+def cmd_boxdim(config: dict, seed, outdir: str, cloud: fr.PointCloud = None) -> dict:
+    """Box counts of `cloud`; without one, of the file config["cloud"]."""
+    if cloud is None and not config.get("cloud"):
         raise ValueError("boxdim config needs a `cloud` path")
     k_range = config.get("k_range")
     if not k_range:
         raise ValueError("boxdim config needs `k_range`")
     k_range = [gen._json_int(k, "k_range entry") for k in k_range]
-    cloud = fr.load_csv(path)
+    if cloud is None:
+        cloud = fr.load_csv(config["cloud"])
     if len(cloud) == 0:
         raise EmptyInput("cloud file has no points")
     counts = inc.box_counts_streaming([cloud.points], k_range)
     pairs = sorted(counts.items())
-    _write_csv(os.path.join(outdir, "boxdim.csv"), "k,N", pairs)
+    fr.write_csv(os.path.join(outdir, "boxdim.csv"), "k,N", pairs)
     slope = inc.dimension_slope(pairs)
     out = {"command": "boxdim", "counts": {str(k): n for k, n in pairs}, "slope": slope}
     if "s" in config and "t" in config:
@@ -181,7 +180,7 @@ def cmd_lemma3c(config: dict, seed, outdir: str) -> dict:
             rows.append((i, c, a, "certified", float("nan"), float("nan"), int(not ok)))
         if not ok:
             violations += 1
-    _write_csv(
+    fr.write_csv(
         os.path.join(outdir, "lemma3c.csv"),
         "trial,c,a,method,diam,ratio,violation",
         rows,
@@ -205,8 +204,8 @@ def cmd_lemma3c(config: dict, seed, outdir: str) -> dict:
     }
 
 
-def _arc_data(cfg: gen.FurstenbergConfig, s_prime: float, eta_rule):
-    fset = gen.assemble_furstenberg(cfg)
+def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
+    cfg = fset.config
     delta = cfg.delta
     data = []
     failures = 0
@@ -232,20 +231,24 @@ def _arc_data(cfg: gen.FurstenbergConfig, s_prime: float, eta_rule):
             data.append((None, pts))
             nan = float("nan")
             per_z_rows.append((idx, nan, nan, nan, nan))
-    return fset, data, failures, per_z_rows
+    return data, failures, per_z_rows
 
 
-def cmd_triples(config: dict, seed, outdir: str) -> dict:
-    gen_cfg = config.get("generator")
-    if not gen_cfg:
+def cmd_triples(
+    config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet = None
+) -> dict:
+    """Arc triples of `fset`; without one, of the set config["generator"] builds."""
+    if fset is None and not config.get("generator"):
         raise ValueError("triples config needs a `generator` object")
     s_prime = float(config.get("s_prime", 0.0))
     if not (0.0 < s_prime <= 1.0):
         raise ValueError("triples config needs s_prime in (0, 1]")
     eta_rule = config.get("eta_rule", "auto")
-    cfg = _generator_config(gen_cfg, seed)
-    fset, data, failures, per_z_rows = _arc_data(cfg, s_prime, eta_rule)
-    _write_csv(
+    if fset is None:
+        fset = gen.assemble_furstenberg(_generator_config(config["generator"], seed))
+    cfg = fset.config
+    data, failures, per_z_rows = _arc_data(fset, s_prime, eta_rule)
+    fr.write_csv(
         os.path.join(outdir, "arcs.csv"),
         "z_index,content_plus,content_minus,content_times,tau",
         per_z_rows,
@@ -259,7 +262,7 @@ def cmd_triples(config: dict, seed, outdir: str) -> dict:
     t_index = inc.build_triple_index(data, grid)
     cover_counts = inc.per_arc_cover_counts(data, cfg.k1)
     reference = inc.step4_reference_count(s_prime, cfg.k1)
-    _write_csv(
+    fr.write_csv(
         os.path.join(outdir, "arc_cells.csv"),
         "z_index,n_plus,n_minus,n_times",
         [(i, int(r[0]), int(r[1]), int(r[2])) for i, r in enumerate(cover_counts)],
@@ -267,7 +270,7 @@ def cmd_triples(config: dict, seed, outdir: str) -> dict:
     taus = [t.tau for t, _ in data if t is not None]
     tau = min(taus) if taus else float("nan")
     ratio = inc.triple_upper_ratio(t_index, grid, tau) if taus else float("nan")
-    _write_csv(
+    fr.write_csv(
         os.path.join(outdir, "triples.csv"),
         "k1,n_cells,n_triples,tau,ratio",
         [(cfg.k1, grid.count, t_index.count, tau, ratio)],
@@ -296,11 +299,13 @@ def cmd_triples(config: dict, seed, outdir: str) -> dict:
     }
 
 
-def cmd_multiplicity(config: dict, seed, outdir: str) -> dict:
-    v_path = config.get("v")
-    if not v_path:
-        raise ValueError("multiplicity config needs a `v` path")
-    v = fr.load_csv(v_path)
+def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -> dict:
+    """Multiplicity field of the circle family `v`; without one, of the file
+    config["v"]."""
+    if v is None:
+        if not config.get("v"):
+            raise ValueError("multiplicity config needs a `v` path")
+        v = fr.load_csv(config["v"])
     if len(v) == 0:
         raise EmptyInput("parameter file has no circles")
     if v.dim != 3:
@@ -317,7 +322,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str) -> dict:
     params = inc.ThresholdParams.from_exponents(
         s_prime, t_prime, epsilon, k1, c0=c0
     )
-    _write_csv(
+    fr.write_csv(
         os.path.join(outdir, "cells_m.csv"),
         "ix,iy,m",
         zip(field.cells[:, 0].tolist(), field.cells[:, 1].tolist(), field.values.tolist()),
@@ -326,7 +331,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str) -> dict:
     for idx in range(len(v)):
         st = inc.low_multiplicity_subset(idx, field, params)
         ratio_rows.append((idx, st.s1_count, st.s2_count, st.area_ratio, st.threshold))
-    _write_csv(
+    fr.write_csv(
         os.path.join(outdir, "s2_ratios.csv"),
         "z_index,s1_cells,s2_cells,ratio,threshold",
         ratio_rows,
@@ -362,44 +367,37 @@ def cmd_report(config: dict, seed, outdir: str) -> dict:
         raise ValueError("report config needs a `generator` object")
     walls = {}
     t0 = time.perf_counter()
-    gen_summary = cmd_gen(gen_cfg, seed, outdir)
+    fset, gen_summary = cmd_gen(gen_cfg, seed, outdir)
     walls["gen"] = time.perf_counter() - t0
-    k1 = gen_summary["config"]["k1"]
+    k1 = fset.config.k1
+    s, t = fset.realized_s, fset.realized_t
     k_range = config.get("k_range", list(range(max(1, k1 - 5), k1 + 1)))
     t0 = time.perf_counter()
     box_summary = cmd_boxdim(
-        {
-            "cloud": os.path.join(outdir, "cloud.csv"),
-            "k_range": k_range,
-            "s": gen_summary["realized_s"],
-            "t": gen_summary["realized_t"],
-        },
-        None,
-        outdir,
+        {"k_range": k_range, "s": s, "t": t}, None, outdir, cloud=fset.cloud
     )
     walls["boxdim"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     triples_summary = cmd_triples(
-        {
-            "generator": gen_cfg,
-            "s_prime": config.get("s_prime", gen_summary["realized_s"]),
-            "eta_rule": config.get("eta_rule", "auto"),
-        },
-        seed,
+        {"s_prime": config.get("s_prime", s), "eta_rule": config.get("eta_rule", "auto")},
+        None,
         outdir,
+        fset=fset,
     )
     walls["triples"] = time.perf_counter() - t0
+    v_cloud = fset.v.cloud
+    del fset  # the multiplicity stage needs only V; free the cloud and circles
     t0 = time.perf_counter()
     mult_summary = cmd_multiplicity(
         {
-            "v": os.path.join(outdir, "v.csv"),
             "grid_k": config.get("grid_k", k1),
-            "s_prime": config.get("s_prime", max(0.55, gen_summary["realized_s"])),
-            "t_prime": config.get("t_prime", gen_summary["realized_t"]),
+            "s_prime": config.get("s_prime", max(0.55, s)),
+            "t_prime": config.get("t_prime", t),
             "epsilon": config.get("epsilon", 0.1),
         },
         None,
         outdir,
+        v=v_cloud,
     )
     walls["multiplicity"] = time.perf_counter() - t0
     return {
@@ -413,7 +411,7 @@ def cmd_report(config: dict, seed, outdir: str) -> dict:
 
 
 _COMMANDS = {
-    "gen": cmd_gen,
+    "gen": lambda config, seed, outdir: cmd_gen(config, seed, outdir)[1],
     "boxdim": cmd_boxdim,
     "lemma3c": cmd_lemma3c,
     "triples": cmd_triples,

@@ -15,6 +15,7 @@ small-cover regularization at scale delta) and is clamped to lower <= upper.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -111,14 +112,23 @@ class PointCloud:
         return cloud
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write `header`, then one comma-separated line per row of values.
+
+    Each value is written as its `str`, which for a Python float is its
+    repr, so floats round-trip bit-exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def save_csv(cloud: PointCloud, path) -> None:
     """Write the canonical cloud CSV: header line `dim,k`, the values, then
     one point per line with repr-exact coordinates."""
-    with open(path, "w", newline="") as fh:
-        fh.write("dim,k\n")
-        fh.write(f"{cloud.dim},{cloud.k}\n")
-        for row in cloud.points:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = (row.tolist() for row in cloud.points)
+    write_csv(path, "dim,k", itertools.chain([(cloud.dim, cloud.k)], rows))
 
 
 def load_csv(path) -> PointCloud:

@@ -53,8 +53,6 @@ class CantorSpec:
 
     @property
     def realized_dim(self) -> float:
-        if self.n == 1:
-            return 0.0
         return math.log(self.n) / math.log(self.m)
 
 
@@ -62,7 +60,8 @@ def choose_cantor_base(dim: float, *, m_max: int = 16, slack: float = DIM_SLACK)
     """Closest realizable (m, pattern) with log n / log m >= dim - slack.
 
     Kept indices are spread across [0, m) with both endpoints retained, so
-    sets at different levels stay well separated.
+    sets at different levels stay well separated.  At least two are kept: a
+    one-index base never gains a point, however deep it is subdivided.
     """
     if not (0.0 < dim <= 1.0):
         raise ConfigInvalid("dimension must lie in (0, 1]")
@@ -70,20 +69,15 @@ def choose_cantor_base(dim: float, *, m_max: int = 16, slack: float = DIM_SLACK)
         return 2, (0, 1)
     best = None
     for m in range(2, m_max + 1):
-        for n in range(1, m + 1):
-            real = 0.0 if n == 1 else math.log(n) / math.log(m)
+        for n in range(2, m + 1):
+            real = math.log(n) / math.log(m)
             if real < dim - slack or real > 1.0:
                 continue
             key = (abs(real - dim), m, n)
             if best is None or key < best[0]:
-                if n == 1:
-                    pattern = (0,)
-                else:
-                    pattern = tuple(
-                        sorted({round(i * (m - 1) / (n - 1)) for i in range(n)})
-                    )
-                    if len(pattern) != n:
-                        continue
+                pattern = tuple(sorted({round(i * (m - 1) / (n - 1)) for i in range(n)}))
+                if len(pattern) != n:
+                    continue
                 best = (key, m, pattern)
     if best is None:
         raise ConfigInvalid(f"no realizable Cantor base for dimension {dim}")
@@ -149,6 +143,8 @@ class FurstenbergConfig:
             raise ConfigInvalid(f"unknown preset {self.preset!r}")
         if self.cantor is not None:
             m, pattern = self.cantor
+            if len(pattern) < 2:
+                raise ConfigInvalid("cantor pattern needs at least two indices")
             CantorSpec(int(m), tuple(pattern), 1)
             object.__setattr__(self, "cantor", (int(m), tuple(int(i) for i in pattern)))
 
@@ -249,8 +245,6 @@ def generate_angular_set(
             # Shrink the interval so the wraparound gap matches the internal
             # minimum gap; otherwise the last level is wasted on the seam.
             unit = cantor_points(CantorSpec(m, pattern, levels), (0.0, 1.0))
-            if len(unit) == 1:
-                return unit * 2.0 * math.pi
             g_unit = float(np.diff(unit).min())
             span = 2.0 * math.pi / (unit[-1] + g_unit)
             return unit * span
@@ -258,11 +252,10 @@ def generate_angular_set(
         levels = 1
         while True:
             ang = circular_cantor(levels + 1)
-            if len(ang) > 1:
-                gaps = float(np.diff(ang).min())
-                wrap = 2.0 * math.pi - float(ang[-1])
-                if min(gaps, wrap) < step:
-                    break
+            gaps = float(np.diff(ang).min())
+            wrap = 2.0 * math.pi - float(ang[-1])
+            if min(gaps, wrap) < step:
+                break
             levels += 1
         angles = circular_cantor(levels)
     return np.sort((angles + offset) % (2.0 * math.pi))
@@ -290,12 +283,24 @@ def _circle_points(z: CircleParam, angles: np.ndarray) -> np.ndarray:
 def _angular_base(config: FurstenbergConfig):
     if config.s == 1.0:
         return None, 1.0
-    if config.cantor is not None:
-        m, pattern = config.cantor
-        spec = CantorSpec(m, pattern, 1)
-        return (m, pattern), spec.realized_dim
-    m, pattern = choose_cantor_base(config.s)
+    m, pattern = config.cantor or choose_cantor_base(config.s)
     return (m, pattern), CantorSpec(m, pattern, 1).realized_dim
+
+
+def _circles(config: FurstenbergConfig, v: DeltaQSet, base):
+    """Yield (z, angles) per circle of V in canonical order; raises
+    ConfigInvalid when a circle's angular cardinality leaves the CARD_PIN
+    window."""
+    lo_card = 2.0 ** (config.k1 * config.s) / CARD_PIN
+    hi_card = 2.0 ** (config.k1 * config.s) * CARD_PIN
+    for row in v.cloud.points:
+        z = CircleParam((row[0], row[1]), row[2])
+        angles = generate_angular_set(z, config.s, config.delta, config.seed, cantor=base)
+        if not (lo_card <= len(angles) <= hi_card):
+            raise ConfigInvalid(
+                f"angular cardinality {len(angles)} outside pinned window"
+            )
+        yield z, angles
 
 
 def iter_furstenberg_points(config: FurstenbergConfig):
@@ -306,9 +311,7 @@ def iter_furstenberg_points(config: FurstenbergConfig):
     """
     v = generate_parameter_set(config)
     base, _ = _angular_base(config)
-    for i, row in enumerate(v.cloud.points):
-        z = CircleParam((row[0], row[1]), row[2])
-        angles = generate_angular_set(z, config.s, config.delta, config.seed, cantor=base)
+    for z, angles in _circles(config, v, base):
         yield _circle_points(z, angles)
 
 
@@ -318,19 +321,10 @@ def assemble_furstenberg(config: FurstenbergConfig) -> DiscretizedFurstenbergSet
     base, realized_s = _angular_base(config)
     m_t, pat_t = choose_cantor_base(config.t)
     realized_t = CantorSpec(m_t, pat_t, 1).realized_dim
-    delta = config.delta
     circles = []
     angular = []
     chunks = []
-    lo_card = 2.0 ** (config.k1 * config.s) / CARD_PIN
-    hi_card = 2.0 ** (config.k1 * config.s) * CARD_PIN
-    for i, row in enumerate(v.cloud.points):
-        z = CircleParam((row[0], row[1]), row[2])
-        angles = generate_angular_set(z, config.s, delta, config.seed, cantor=base)
-        if not (lo_card <= len(angles) <= hi_card):
-            raise ConfigInvalid(
-                f"angular cardinality {len(angles)} outside pinned window"
-            )
+    for z, angles in _circles(config, v, base):
         circles.append(z)
         angular.append(angles)
         chunks.append(_circle_points(z, angles))

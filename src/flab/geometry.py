@@ -60,9 +60,6 @@ class CircleParam:
         ||center|| <= 1/4 and radius in [1/2, 2]."""
         return math.hypot(*self.center) <= 0.25 and _B_LO <= self.radius <= _B_HI
 
-    def as_array3(self) -> np.ndarray:
-        return np.array([self.center[0], self.center[1], self.radius])
-
 
 @dataclass(frozen=True)
 class Annulus:

@@ -232,3 +232,29 @@ class TestReport:
         assert s1["command"] == "report"
         assert "slope" in s1["box_counts"]
         assert s1["gen"]["n_points"] > 0
+
+    def test_matches_standalone_commands(self, tmp_path):
+        rep = tmp_path / "report"
+        cfg = write_json(tmp_path / "r.json", {"generator": REPORT_CFG})
+        assert run(["report", "--config", cfg, "--out", rep]) == 0
+        summary = json.loads((rep / "summary.json").read_text())
+        s, t = summary["gen"]["realized_s"], summary["gen"]["realized_t"]
+        standalone = {
+            "boxdim": ("box_counts", {"cloud": str(rep / "cloud.csv"),
+                                      "k_range": [2, 3, 4, 5, 6, 7], "s": s, "t": t}),
+            "triples": ("triples", {"generator": REPORT_CFG, "s_prime": s}),
+            "multiplicity": ("multiplicity", {"v": str(rep / "v.csv"),
+                                              "s_prime": max(0.55, s), "t_prime": t}),
+        }
+        names = {"cloud.csv", "v.csv", "summary.json"}
+        for command, (key, config) in standalone.items():
+            out = tmp_path / command
+            cfg = write_json(tmp_path / f"{command}.json", config)
+            assert run([command, "--config", cfg, "--out", out]) == 0
+            alone = json.loads((out / "summary.json").read_text())
+            assert alone.pop("schema_version") == 1 and alone == summary[key]
+            for path in out.iterdir():
+                if path.name != "summary.json":
+                    names.add(path.name)
+                    assert path.read_bytes() == (rep / path.name).read_bytes(), path.name
+        assert names == {p.name for p in rep.iterdir()}

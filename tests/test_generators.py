@@ -52,6 +52,8 @@ class TestChooseBase:
     def test_exact_values(self):
         assert gen.choose_cantor_base(1.0) == (2, (0, 1))
         assert gen.choose_cantor_base(0.5) == (4, (0, 3))
+        # a one-index base never gains a point, so the least is two of 16
+        assert gen.choose_cantor_base(0.01) == (16, (0, 15))
 
     def test_slack_rule(self):
         for dim in (0.3, 0.45, 0.6, 0.8, 0.95):
@@ -89,6 +91,12 @@ class TestParameterSet:
     def test_bad_preset_rejected(self):
         with pytest.raises(ConfigInvalid):
             FurstenbergConfig(s=1.0, t=1.0, k1=8, preset="nope", seed=0)
+
+    def test_one_index_cantor_rejected(self):
+        with pytest.raises(ConfigInvalid):
+            FurstenbergConfig(
+                s=0.5, t=1.0, k1=8, preset="concentric", seed=0, cantor=(2, (0,))
+            )
 
 
 class TestAngularSet:
@@ -170,6 +178,16 @@ class TestAssemble:
         )
         have = {tuple(p) for p in np.round(fs.cloud.points, 12)}
         assert all(tuple(p) in have for p in np.round(expect, 12))
+
+    def test_cardinality_window_on_both_paths(self):
+        # 16 angles per circle against a window starting at 2^(12*0.9)/64
+        cfg = FurstenbergConfig(
+            s=0.9, t=1.0, k1=12, preset="center-segment", seed=0, cantor=(16, (0, 15))
+        )
+        with pytest.raises(ConfigInvalid, match="pinned window"):
+            gen.assemble_furstenberg(cfg)
+        with pytest.raises(ConfigInvalid, match="pinned window"):
+            next(gen.iter_furstenberg_points(cfg))
 
     def test_streaming_matches_assembled(self):
         cfg = FurstenbergConfig(s=0.5, t=1.0, k1=7, preset="concentric", seed=6)
