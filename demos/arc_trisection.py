@@ -17,7 +17,6 @@ from flab import (
     box_count,
     build_triple_index,
     extract_three_arcs,
-    per_arc_cover_counts,
     triple_upper_ratio,
 )
 
@@ -49,10 +48,9 @@ for zc, angles in zip(fset.circles, fset.angular):
 
 grid = box_count(fset.cloud, cfg.k1)
 t_index = build_triple_index(data, grid)
-counts = per_arc_cover_counts(data, cfg.k1)
 tau = min(t.tau for t, _ in data)
 print(f"\nwhole family: {len(data)} circles, {grid.count} occupied cells")
-print(f"  per-arc cell counts (first 5 circles): {counts[:5].tolist()}")
+print(f"  per-arc cell counts (first 5 circles): {t_index.counts[:5].tolist()}")
 print(f"  triple index size: {t_index.count} "
       f"(= sum over circles of the per-arc count products)")
 print(f"  ratio #T * tau^6 / #cells^3 = {triple_upper_ratio(t_index, grid, tau):.3g}")

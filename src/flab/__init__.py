@@ -81,7 +81,6 @@ from .incidence import (
     extract_three_arcs,
     low_multiplicity_subset,
     multiplicity_field,
-    per_arc_cover_counts,
     step4_reference_count,
     triple_upper_ratio,
 )

@@ -112,7 +112,7 @@ def cmd_gen(config: dict, seed, outdir: str):
 
 def cmd_boxdim(config: dict, seed, outdir: str, cloud: fr.PointCloud = None) -> dict:
     """Box counts of `cloud`; without one, of the file config["cloud"]."""
-    if cloud is None and not config.get("cloud"):
+    if cloud is None and not (config.get("cloud") and isinstance(config["cloud"], str)):
         raise ValueError("boxdim config needs a `cloud` path")
     k_range = config.get("k_range")
     if not k_range:
@@ -260,7 +260,7 @@ def cmd_triples(
         )
     grid = inc.box_count(fset.cloud, cfg.k1)
     t_index = inc.build_triple_index(data, grid)
-    cover_counts = inc.per_arc_cover_counts(data, cfg.k1)
+    cover_counts = t_index.counts
     reference = inc.step4_reference_count(s_prime, cfg.k1)
     fr.write_csv(
         os.path.join(outdir, "arc_cells.csv"),
@@ -303,7 +303,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
     """Multiplicity field of the circle family `v`; without one, of the file
     config["v"]."""
     if v is None:
-        if not config.get("v"):
+        if not (config.get("v") and isinstance(config["v"], str)):
             raise ValueError("multiplicity config needs a `v` path")
         v = fr.load_csv(config["v"])
     if len(v) == 0:

@@ -2,15 +2,16 @@
 
 Point clouds at dyadic resolution delta = 2^-k, (delta,q)-set extraction via
 top-down dyadic selection, uniform discrete (Frostman-type) measures, and
-two-sided Hausdorff-content estimation.
+Hausdorff-content estimation from above (content_greedy) and below
+(content_lower).
 
 Content conventions: covers are recorded as (center, radius) pairs and a ball
-contributes (2*radius)**s, i.e. diameter-based content.  The lower estimate is
-a uniform-mass pigeonhole: a set of diameter d containing a data point holds
-at most as many points as the fullest 2x2 block of side-d grid cells, so any
-cover's cost is at least #P / max_d [blockcount(d) / d^s].  It is a lower
-bound for the content of the delta-fattened cloud (up to the usual
-small-cover regularization at scale delta) and is clamped to lower <= upper.
+contributes (2*radius)**s, i.e. diameter-based content.  The lower estimate,
+content_lower, is a uniform-mass pigeonhole: a set of diameter d containing a
+data point holds at most as many points as the fullest 2x2 block of side-d
+grid cells, so any cover's cost is at least #P / max_d [blockcount(d) / d^s].
+It is a lower bound for the content of the delta-fattened cloud (up to the
+usual small-cover regularization at scale delta).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, EmptyInput
+from .errors import ConfigInvalid, DegenerateTriangle, EmptyInput
+from .geometry import circumcenter
 
 
 def _pack(idx: np.ndarray) -> np.ndarray:
@@ -335,10 +337,9 @@ def frostman_measure(cloud: PointCloud) -> DiscreteMeasure:
 
 @dataclass
 class ContentEstimate:
-    """Two-sided content estimate with the witnessing cover."""
+    """Upper content estimate with the witnessing cover."""
 
     upper: float
-    lower: float
     cover: list
 
     def cover_sum(self, s: float) -> float:
@@ -420,20 +421,6 @@ def _circumcircle2(p, q):
     return c, float(np.linalg.norm(p - c))
 
 
-def _circumcircle3(p, q, r):
-    u = q - p
-    v = r - p
-    cross = u[0] * v[1] - u[1] * v[0]
-    if abs(cross) < 1e-14 * max(u @ u, v @ v):
-        return None
-    bu = float(u @ u)
-    bv = float(v @ v)
-    cx = (bu * v[1] - bv * u[1]) / (2.0 * cross)
-    cy = (bv * u[0] - bu * v[0]) / (2.0 * cross)
-    c = p + np.array([cx, cy])
-    return c, float(np.hypot(cx, cy))
-
-
 def _min_enclosing_ball_2d(pts: np.ndarray):
     """Minimal enclosing ball (Welzl, move-to-front), hull-reduced, seeded."""
     cand = pts
@@ -451,9 +438,10 @@ def _min_enclosing_ball_2d(pts: np.ndarray):
         c, r = _circumcircle2(p, q)
         for i in range(points.shape[0]):
             if np.linalg.norm(points[i] - c) > r * (1 + eps) + eps:
-                res = _circumcircle3(p, q, points[i])
-                if res is not None:
-                    c, r = res
+                try:
+                    c, r = circumcenter(p, q, points[i])
+                except DegenerateTriangle:
+                    pass
         return c, r
 
     def ball_with_1(points, p):
@@ -481,16 +469,14 @@ def _enclosing_candidate(pts: np.ndarray, r_min: float):
     return tuple(c), max(rad, r_min)
 
 
-def content_greedy(points, s: float, r_min: float, *, delta: float = None) -> ContentEstimate:
-    """Two-sided content estimate.
-
-    upper: density-greedy cover by balls of dyadic cells (radius >= ~r_min),
-    or the single enclosing ball when that is cheaper.  lower: pigeonhole
-    estimate, clamped to the upper value.
+def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
+    """Upper content estimate: density-greedy cover by balls of dyadic cells
+    (radius >= ~r_min), or the single enclosing ball when that is cheaper.
+    content_lower gives the matching lower estimate.
     """
     if isinstance(points, PointCloud):
-        if delta is None:
-            delta = points.delta
+        if r_min < points.delta:
+            raise ValueError("need r_min >= delta")
         pts = points.points
     else:
         pts = np.asarray(points, dtype=float)
@@ -498,10 +484,6 @@ def content_greedy(points, s: float, r_min: float, *, delta: float = None) -> Co
         raise EmptyInput("no points")
     if not (0.0 < s <= 2.0):
         raise ValueError("need 0 < s <= 2")
-    if delta is None:
-        delta = r_min
-    if r_min < delta:
-        raise ValueError("need r_min >= delta")
     dim = pts.shape[1]
     rootd = math.sqrt(dim)
     j_max = max(math.floor(math.log2(1.0 / r_min)), 0)
@@ -548,5 +530,4 @@ def content_greedy(points, s: float, r_min: float, *, delta: float = None) -> Co
     else:
         cover = picks
         upper = greedy_sum
-    lower = min(content_lower(pts, s, delta), upper)
-    return ContentEstimate(upper=upper, lower=lower, cover=cover)
+    return ContentEstimate(upper=upper, cover=cover)

@@ -235,7 +235,7 @@ def extract_three_arcs(
         sel = order[starts[l] : starts[l + 1]]
         if sel.size == 0:
             return 0.0
-        return content_greedy(pts[sel], s_prime, delta, delta=delta).upper
+        return content_greedy(pts[sel], s_prime, delta).upper
 
     target = eta / 8.0
     tol = gamma ** s_prime
@@ -275,49 +275,39 @@ def extract_three_arcs(
     return triple
 
 
-def _interval_mask(theta: np.ndarray, interval) -> np.ndarray:
-    lo, hi = interval
-    return (theta >= lo) & (theta < hi)
-
-
-def arc_cell_sets(triple: ArcTriple, pts: np.ndarray, k: int):
-    """The occupied-cell index sets of the three arcs' cloud points."""
+def _arc_cell_keys(triple: ArcTriple, pts: np.ndarray, k: int):
+    """Sorted packed keys of the occupied cells of side 2^-k of each of the
+    three arcs' cloud points."""
     theta = circle_angles(triple.z, pts)
-    out = []
-    for interval in triple.intervals:
-        sub = pts[_interval_mask(theta, interval)]
-        if sub.shape[0] == 0:
-            out.append(set())
-            continue
-        idx = np.floor(sub * (1 << k)).astype(np.int64)
-        out.append({tuple(row) for row in idx})
-    return out
+    keys = _pack(np.floor(pts * (1 << k)).astype(np.int64))
+    return [_unique_runs(keys[(theta >= lo) & (theta < hi)])[0] for lo, hi in triple.intervals]
 
 
 @dataclass
 class TripleIndex:
-    """Quadruples (cell+, cell-, cellx, circle index) of arc-cell incidences."""
+    """Occupied-cell counts (n+, n-, nx) of the three arcs of every circle.
+
+    Row i of ``counts`` belongs to circle i, zeros for a circle without a
+    triple.  The quadruples (cell+, cell-, cellx, circle index) of arc-cell
+    incidences number n+ * n- * nx per circle, so ``count`` (#T) is the sum
+    of the products, taken in Python ints so that it cannot overflow.
+    """
 
     k: int
-    entries: set
+    counts: np.ndarray  # (n_circles, 3) int64
 
     @property
     def count(self) -> int:
-        return len(self.entries)
+        return sum(a * b * c for a, b, c in self.counts.tolist())
 
 
 def build_triple_index(arc_data, grid: CoverGrid) -> TripleIndex:
-    """arc_data: iterable of (ArcTriple, circle cloud points) in circle order."""
-    entries = set()
-    for z_idx, (triple, pts) in enumerate(arc_data):
-        if triple is None:
-            continue
-        cp, cm, cx = arc_cell_sets(triple, pts, grid.k)
-        for a in cp:
-            for b in cm:
-                for c in cx:
-                    entries.add((a, b, c, z_idx))
-    return TripleIndex(k=grid.k, entries=entries)
+    """arc_data: iterable of (ArcTriple or None, circle cloud points) in circle order."""
+    rows = [
+        [0, 0, 0] if triple is None else [c.size for c in _arc_cell_keys(triple, pts, grid.k)]
+        for triple, pts in arc_data
+    ]
+    return TripleIndex(k=grid.k, counts=np.array(rows, dtype=np.int64))
 
 
 def triple_upper_ratio(t_index: TripleIndex, grid: CoverGrid, tau: float) -> float:
@@ -328,19 +318,6 @@ def triple_upper_ratio(t_index: TripleIndex, grid: CoverGrid, tau: float) -> flo
     if grid.count == 0:
         raise EmptyInput("empty grid")
     return t_index.count * tau ** 6 / grid.count ** 3
-
-
-def per_arc_cover_counts(arc_data, k: int) -> np.ndarray:
-    """(n+, n-, nx) occupied-cell counts per circle; product equals the
-    circle's entry count in the triple index."""
-    rows = []
-    for triple, pts in arc_data:
-        if triple is None:
-            rows.append((0, 0, 0))
-            continue
-        cp, cm, cx = arc_cell_sets(triple, pts, k)
-        rows.append((len(cp), len(cm), len(cx)))
-    return np.array(rows, dtype=np.int64)
 
 
 def step4_reference_count(s_prime: float, k1: int) -> float:

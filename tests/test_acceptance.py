@@ -140,11 +140,14 @@ def brute_box(pts, k):
     return cells
 
 
-def brute_triples(data, k):
-    out = set()
+def brute_arc_sets(data, k):
+    """Per circle, the occupied cells of each of its three arcs (None without
+    a triple)."""
+    out = []
     s = 2 ** k
-    for z_idx, (tri, pts) in enumerate(data):
+    for tri, pts in data:
         if tri is None:
+            out.append(None)
             continue
         sets = [set(), set(), set()]
         for x, y in pts:
@@ -152,11 +155,42 @@ def brute_triples(data, k):
             for j, (lo, hi) in enumerate(tri.intervals):
                 if lo <= theta < hi:
                     sets[j].add((math.floor(x * s), math.floor(y * s)))
+        out.append(sets)
+    return out
+
+
+def brute_triples(arc_sets):
+    """The quadruples (cell+, cell-, cellx, circle index) of per-arc cell sets."""
+    out = set()
+    for z_idx, sets in enumerate(arc_sets):
+        if sets is None:
+            continue
         for a in sets[0]:
             for b in sets[1]:
                 for c in sets[2]:
                     out.add((a, b, c, z_idx))
     return out
+
+
+def triples_match(ti, data, k):
+    """Each arc's cells from the triple index's kernel pass, each row of
+    counts and #T all equal the brute force's."""
+    brute = brute_arc_sets(data, k)
+    kernel = [
+        None
+        if tri is None
+        else [
+            set(map(tuple, fr._unpack(keys, 2).tolist()))
+            for keys in inc._arc_cell_keys(tri, pts, k)
+        ]
+        for tri, pts in data
+    ]
+    rows = [[0, 0, 0] if sets is None else [len(c) for c in sets] for sets in brute]
+    return (
+        kernel == brute
+        and ti.counts.tolist() == rows
+        and ti.count == len(brute_triples(brute))
+    )
 
 
 def brute_mult(measure, delta, grid_k, bbox):
@@ -265,7 +299,7 @@ def test_criterion_4_oracle_equivalence():
         n_instances += 1
         grid = inc.box_count(fs.cloud, cfg.k1)
         ti = inc.build_triple_index(data, grid)
-        if ti.entries != brute_triples(data, cfg.k1):
+        if not triples_match(ti, data, cfg.k1):
             mismatches.append(f"triples[{i}]")
 
     # 6 multiplicity instances
@@ -382,7 +416,7 @@ def test_criterion_7_triple_count_guard():
         grid = inc.box_count(fs.cloud, k1)
         ti = inc.build_triple_index(data, grid)
         if k1 == 7:  # pin against the brute-force baseline
-            ok &= ti.entries == brute_triples(data, k1)
+            ok &= triples_match(ti, data, k1)
         taus = [t.tau for t, _ in data if t is not None]
         ratio = inc.triple_upper_ratio(ti, grid, min(taus))
         ok &= ratio <= 1e4

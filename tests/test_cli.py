@@ -90,6 +90,17 @@ def test_non_integer_field_exit2(field, tmp_path):
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+# open() takes an int as a file descriptor; this one is not open
+@pytest.mark.parametrize(
+    "command,config",
+    [("boxdim", {"cloud": 987654, "k_range": [3]}), ("multiplicity", {"v": 987654})],
+    ids=["boxdim", "multiplicity"],
+)
+def test_non_string_path_exit2(command, config, tmp_path):
+    cfg = write_json(tmp_path / "c.json", config)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
 def test_library_error_exit3(tmp_path, monkeypatch):
     def collinear(*args, **kwargs):
         raise DegenerateTriangle("collinear frame")

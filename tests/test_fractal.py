@@ -214,19 +214,22 @@ class TestFrostman:
 class TestContent:
     def test_single_point_upper_shrinks(self):
         pts = np.array([[0.3, 0.4]])
-        e1 = fr.content_greedy(pts, 0.5, 0.01, delta=0.001)
-        e2 = fr.content_greedy(pts, 0.5, 0.001, delta=0.001)
+        e1 = fr.content_greedy(pts, 0.5, 0.01)
+        e2 = fr.content_greedy(pts, 0.5, 0.001)
         assert e1.upper <= (2 * 0.01) ** 0.5 * (1 + 1e-12)
         assert e2.upper <= (2 * 0.001) ** 0.5 * (1 + 1e-12)
         assert e2.upper < e1.upper
-        assert e1.lower <= e1.upper
+        lower = min(fr.content_lower(pts, 0.5, 0.001), e1.upper)
+        assert lower <= e1.upper
 
     def test_circle_two_sided(self):
         k = 7
-        est = fr.content_greedy(circle_cloud(k), 1.0, 2.0 ** (-k))
+        pts = circle_cloud(k)
+        est = fr.content_greedy(pts, 1.0, 2.0 ** (-k))
+        lower = min(fr.content_lower(pts, 1.0, 2.0 ** (-k)), est.upper)
         assert est.upper <= 2.0 * (1 + 1e-9)
-        assert est.lower >= 1.0
-        assert est.lower <= est.upper
+        assert lower >= 1.0
+        assert lower <= est.upper
 
     def test_cover_record_matches_upper(self):
         k = 6
@@ -254,9 +257,10 @@ class TestContent:
         oracle = dp(0.0, 1.0)
         pts = np.column_stack([x, np.zeros_like(x)])
         est = fr.content_greedy(pts, s, delta)
-        assert est.lower <= oracle * 1.0001
-        assert est.upper <= 8.0 * est.lower
-        assert est.lower <= est.upper
+        lower = min(fr.content_lower(pts, s, delta), est.upper)
+        assert lower <= oracle * 1.0001
+        assert est.upper <= 8.0 * lower
+        assert lower <= est.upper
 
     def test_upper_monotone_in_s_on_recorded_radii(self):
         rng = np.random.default_rng(8)

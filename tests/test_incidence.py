@@ -148,7 +148,7 @@ class TestExtractThreeArcs:
             if len(sub) == 0:
                 contents.append(0.0)
             else:
-                contents.append(fr.content_greedy(sub, 1.0, d, delta=d).upper)
+                contents.append(fr.content_greedy(sub, 1.0, d).upper)
 
         def scan(start, stop):
             cum = 0.0
@@ -217,6 +217,26 @@ class TestExtractThreeArcs:
             inc.extract_three_arcs(z, pts, 1.0, 0.5, delta=d)
 
 
+def brute_arc_sets(tri, pts, k):
+    """Definitional python loops: the occupied cells of each of the three arcs."""
+    sets = [set(), set(), set()]
+    scale = 2 ** k
+    for x, y in pts:
+        theta = math.atan2(y - tri.z.center[1], x - tri.z.center[0]) % (2 * math.pi)
+        for j, (lo, hi) in enumerate(tri.intervals):
+            if lo <= theta < hi:
+                sets[j].add((math.floor(x * scale), math.floor(y * scale)))
+    return sets
+
+
+def arc_sets(tri, pts, k):
+    """The occupied cells of each arc as the triple index's kernel pass sees them."""
+    return [
+        set(map(tuple, fr._unpack(keys, 2).tolist()))
+        for keys in inc._arc_cell_keys(tri, pts, k)
+    ]
+
+
 def synthetic_triple(z, intervals, gamma=0.01):
     return inc.ArcTriple(
         z=z,
@@ -246,8 +266,7 @@ class TestTripleIndex:
         tri = synthetic_triple(z, ((0.0, 0.1), (1.0, 1.1), (2.0, 2.1)))
         grid = inc.box_count(pts, 8)
         ti = inc.build_triple_index([(tri, pts)], grid)
-        counts = inc.per_arc_cover_counts([(tri, pts)], 8)
-        assert counts.tolist() == [[2, 2, 2]]
+        assert ti.counts.tolist() == [[2, 2, 2]]
         assert ti.count == 8
 
     def test_matches_brute_force(self):
@@ -264,19 +283,15 @@ class TestTripleIndex:
         ti = inc.build_triple_index(data, grid)
         # brute force: definitional python loops
         brute = set()
-        scale = 2 ** cfg.k1
         for z_idx, (tri, pts) in enumerate(data):
-            sets = [set(), set(), set()]
-            for x, y in pts:
-                theta = math.atan2(y - tri.z.center[1], x - tri.z.center[0]) % (2 * math.pi)
-                for j, (lo, hi) in enumerate(tri.intervals):
-                    if lo <= theta < hi:
-                        sets[j].add((math.floor(x * scale), math.floor(y * scale)))
+            sets = brute_arc_sets(tri, pts, cfg.k1)
+            assert arc_sets(tri, pts, cfg.k1) == sets
+            assert ti.counts[z_idx].tolist() == [len(c) for c in sets]
             for a in sets[0]:
                 for b in sets[1]:
                     for c in sets[2]:
                         brute.add((a, b, c, z_idx))
-        assert ti.entries == brute
+        assert ti.count == len(brute)
 
     def test_product_law(self):
         cfg = FurstenbergConfig(s=1.0, t=0.5, k1=7, preset="center-segment", seed=8)
@@ -290,19 +305,26 @@ class TestTripleIndex:
             data.append((tri, pts))
         grid = inc.box_count(fs.cloud, cfg.k1)
         ti = inc.build_triple_index(data, grid)
-        counts = inc.per_arc_cover_counts(data, cfg.k1)
-        per_z = {}
-        for entry in ti.entries:
-            per_z[entry[3]] = per_z.get(entry[3], 0) + 1
-        for z_idx, row in enumerate(counts):
-            assert per_z.get(z_idx, 0) == int(row[0] * row[1] * row[2])
+        total = 0
+        for z_idx, (tri, pts) in enumerate(data):
+            sets = brute_arc_sets(tri, pts, cfg.k1)
+            assert arc_sets(tri, pts, cfg.k1) == sets
+            quads = {(a, b, c) for a in sets[0] for b in sets[1] for c in sets[2]}
+            row = ti.counts[z_idx]
+            assert len(quads) == int(row[0] * row[1] * row[2])
+            total += len(quads)
+        assert ti.count == total
 
     def test_upper_ratio_arithmetic(self):
         grid = inc.CoverGrid(k=5, cells=np.array([[0, 0], [0, 1], [1, 0]]))
-        ti = inc.TripleIndex(k=5, entries={((0, 0), (0, 1), (1, 0), 0)})
+        ti = inc.TripleIndex(k=5, counts=np.array([[1, 1, 1]]))
         assert inc.triple_upper_ratio(ti, grid, 1.0) == pytest.approx(1.0 / 27.0)
-        empty = inc.TripleIndex(k=5, entries=set())
+        empty = inc.TripleIndex(k=5, counts=np.zeros((0, 3), dtype=np.int64))
         assert inc.triple_upper_ratio(empty, grid, 0.5) == 0.0
+
+    def test_count_does_not_overflow(self):
+        ti = inc.TripleIndex(k=5, counts=np.array([[2**22, 2**22, 2**22]]))
+        assert ti.count == 2**66
 
 
 def brute_multiplicity(measure, delta, grid_k, bbox):
