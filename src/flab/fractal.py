@@ -16,6 +16,7 @@ usual small-cover regularization at scale delta).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -364,19 +365,59 @@ def _block_max_count(pts: np.ndarray, side: float) -> int:
     """Max points in any 2x2(x2) block of grid cells of ``side``.
 
     A set of diameter <= side has axis extents <= side, so it lies in one
-    such block; the fullest block bounds any cover set's point count.
+    such block; the fullest block bounds any cover set's point count.  Every
+    block that holds a point is anchored at its lower corner cell, an
+    occupied cell minus some offset in {0, 1}^dim.
     """
-    idx = np.floor(pts / side).astype(np.int64)
     dim = pts.shape[1]
-    cells, starts, order = _unique_runs(_pack(idx))
-    counts = np.diff(starts, append=len(idx))
-    base = idx[order[starts]]
-    total = np.zeros(len(cells), dtype=np.int64)
-    for off in np.ndindex(*([2] * dim)):
-        neigh = _pack(base + np.array(off, dtype=np.int64))
+    cells, starts, _ = _unique_runs(_pack(np.floor(pts / side).astype(np.int64)))
+    counts = np.diff(starts, append=len(pts))
+    offsets = [np.array(off, dtype=np.int64) for off in np.ndindex(*([2] * dim))]
+    occupied = _unpack(cells, dim)
+    anchors, _, _ = _unique_runs(np.concatenate([_pack(occupied - off) for off in offsets]))
+    base = _unpack(anchors, dim)
+    total = np.zeros(len(anchors), dtype=np.int64)
+    for off in offsets:
+        neigh = _pack(base + off)
         pos = np.clip(np.searchsorted(cells, neigh), 0, len(cells) - 1)
         total += np.where(cells[pos] == neigh, counts[pos], 0)
     return int(total.max()) if len(total) else 0
+
+
+def _content_scales(pts: np.ndarray, s: float, delta: float):
+    """content_lower's quarter-octave diameters d, finest first.
+
+    Yields ``(den, reach, count)`` per d: the float (d 2^-1/4)^s that the
+    count is divided by, the largest distance between two points of one
+    counted set (inf when the count is every point), and a function
+    returning the count.  The kd tree is built on the first ball count.
+    """
+    n = pts.shape[0]
+    if n == 0:
+        raise EmptyInput("no points")
+    diam_ub = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+    @functools.cache
+    def tree():
+        from scipy.spatial import cKDTree
+
+        return cKDTree(pts)
+
+    m = 0
+    while True:
+        d = delta * 2.0 ** ((m + 1) / 4.0)
+        if d >= diam_ub:
+            reach, count = math.inf, lambda: n
+        elif d <= 8.0 * delta or n <= 4096:
+            reach = d
+            count = lambda d=d: int(tree().query_ball_point(pts, d, return_length=True).max())
+        else:
+            reach = 2.0 * math.sqrt(pts.shape[1]) * d
+            count = lambda d=d: min(n, _block_max_count(pts, d))
+        yield (d * 2.0 ** (-0.25)) ** s, reach, count
+        if d * 2.0 ** (-0.25) > max(diam_ub, delta):
+            return
+        m += 1
 
 
 def content_lower(points, s: float, delta: float) -> float:
@@ -386,34 +427,15 @@ def content_lower(points, s: float, delta: float) -> float:
     #(U cap P) <= cnt(d), with cnt(d) the exact max ball count
     max_p #(P cap B(p, d)) at small d and the 2x2 grid-block bound at large
     d; over quarter-octave diameter brackets any cover then costs at least
-    #P / max_d [cnt(d) / d^s].
+    #P / max_d [cnt(d) / d^s].  Callers that only need to know whether it
+    reaches a threshold decide that without computing it
+    (incidence._content_reaches).
     """
-    from scipy.spatial import cKDTree
-
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n == 0:
-        raise EmptyInput("no points")
-    span = pts.max(axis=0) - pts.min(axis=0)
-    diam_ub = float(np.linalg.norm(span))
-    tree = cKDTree(pts)
-    exact_cutoff = 8.0 * delta
     worst = 0.0
-    m = 0
-    while True:
-        d = delta * 2.0 ** ((m + 1) / 4.0)
-        if d >= diam_ub:
-            cnt = n
-        elif d <= exact_cutoff or n <= 4096:
-            cnt = int(tree.query_ball_point(pts, d, return_length=True).max())
-        else:
-            cnt = min(n, _block_max_count(pts, d))
-        ratio = cnt / (d * 2.0 ** (-0.25)) ** s
-        worst = max(worst, ratio)
-        if d * 2.0 ** (-0.25) > max(diam_ub, delta):
-            break
-        m += 1
-    return n / worst
+    for den, _, count in _content_scales(pts, s, delta):
+        worst = max(worst, count() / den)
+    return pts.shape[0] / worst
 
 
 def _circumcircle2(p, q):

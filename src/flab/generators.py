@@ -100,7 +100,13 @@ def cantor_points(spec: CantorSpec, interval) -> np.ndarray:
 
 
 def _levels_for_separation(m: int, pattern, length: float, min_gap: float) -> int:
-    """Deepest level whose realized point set keeps gaps >= min_gap."""
+    """Deepest level whose realized point set keeps gaps >= min_gap.
+
+    A pattern of fewer than two indices never gains a point, however deep it
+    is subdivided, so no level would end the search: it is refused.
+    """
+    if len(pattern) < 2:
+        raise ConfigInvalid(f"Cantor pattern {tuple(pattern)} keeps fewer than two indices")
     levels = 0
     while True:
         cand = CantorSpec(m, pattern, levels + 1)

@@ -19,6 +19,7 @@ from .errors import DegenerateFit, EmptyInput, InsufficientContent
 from .fractal import (
     DiscreteMeasure,
     PointCloud,
+    _content_scales,
     _pack,
     _unique_runs,
     _unpack,
@@ -167,17 +168,62 @@ def circle_angles(z: CircleParam, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _require_content(pts: np.ndarray, s_prime: float, delta: float, eta: float) -> None:
-    """Raise InsufficientContent unless the content lower estimate reaches eta.
+def _content_reaches(
+    z: CircleParam, pts: np.ndarray, s_prime: float, delta: float, eta: float
+) -> bool:
+    """Exactly ``content_lower(pts, s_prime, delta) >= eta``, decided
+    without computing the estimate.
+
+    The estimate is n / max_d (cnt_d / den_d) over content_lower's scales d,
+    and IEEE division is monotone, so it reaches eta iff every scale has
+    n / (cnt_d / den_d) >= eta; the scales are tried finest first and the
+    first that fails decides.  Since cnt_d <= n, a scale that passes with n
+    in place of cnt_d is skipped.  Otherwise an angular ceiling on cnt_d is
+    tried before the exact count: two points within ``reach`` of each other,
+    both at least rho_min from z's center, differ in angle by at most
+    2 asin(reach / 2 rho_min), so a counted set lies in an angular window of
+    twice that width, and no such set holds more points than the fullest
+    window over the sorted angles.
+    """
+    n = pts.shape[0]
+    if n == 0:
+        raise EmptyInput("no points")
+    rel = pts - np.array(z.center)
+    rho_min = float(np.hypot(rel[:, 0], rel[:, 1]).min())
+    theta = np.sort(circle_angles(z, pts))
+    ring = np.concatenate([theta, theta + 2.0 * math.pi])
+    # Relative slack that dwarfs the rounding of rho, of the angles and of the
+    # kd tree's distance test, each a few ulps of 1 + |coordinates| / rho_min.
+    magnitude = max(float(np.abs(pts).max()), *map(abs, z.center))
+    slack = 1e-9 * (1.0 + magnitude / rho_min) if rho_min > 0.0 else math.inf
+    for den, reach, count in _content_scales(pts, s_prime, delta):
+        if n / (n / den) >= eta:
+            continue
+        if reach * (1.0 + slack) < 2.0 * rho_min:
+            half = 2.0 * math.asin(reach * (1.0 + slack) / (2.0 * rho_min))
+            width = 2.0 * half * (1.0 + slack) + slack
+            windows = np.searchsorted(ring, theta + width, side="right") - np.arange(n)
+            if n / (min(n, int(windows.max())) / den) >= eta:
+                continue
+        if n / (count() / den) < eta:
+            return False
+    return True
+
+
+def _require_content(
+    z: CircleParam, pts: np.ndarray, s_prime: float, delta: float, eta: float
+) -> None:
+    """Raise InsufficientContent unless the content lower estimate of the
+    circle z's cloud reaches eta; the answer is decided, not estimated.
 
     A subset's content bounds the set's from below, so a decimated check is
     valid; fall back to the full cloud if it is shy.
     """
     stride = max(1, -(-pts.shape[0] // 1024))
-    lower = content_lower(pts[::stride], s_prime, delta)
-    if lower < eta:
+    if _content_reaches(z, pts[::stride], s_prime, delta, eta):
+        return
+    if not _content_reaches(z, pts, s_prime, delta, eta):
         lower = content_lower(pts, s_prime, delta)
-    if lower < eta:
         raise InsufficientContent(
             f"content lower estimate {lower:.4g} below eta {eta:.4g}"
         )
@@ -193,7 +239,7 @@ def auto_eta(z: CircleParam, pts: np.ndarray, s_prime: float, delta: float, k1: 
     eta = max(1.0 / (k1 * k1), 16.0 * (2.0 * delta) ** s_prime)
     if eta > 1.0 + 1e-12:
         raise InsufficientContent("resolution too coarse for this exponent")
-    _require_content(pts, s_prime, delta, eta)
+    _require_content(z, pts, s_prime, delta, eta)
     return eta
 
 
@@ -218,7 +264,7 @@ def extract_three_arcs(
     if pts.shape[0] == 0:
         raise InsufficientContent("empty circle cloud")
     if content_check:
-        _require_content(pts, s_prime, delta, eta)
+        _require_content(z, pts, s_prime, delta, eta)
     r = z.radius
     gamma = (eta / 16.0) ** (1.0 / s_prime)
     assert gamma <= 1.0 / 16.0 + 1e-12
@@ -361,6 +407,15 @@ def _runs(lo: np.ndarray, n: np.ndarray):
     return run, (lo + n - np.cumsum(n))[run] + np.arange(run.size)
 
 
+def _branch_ranges(x, xlo, xhi, g: float):
+    """Column ranges [lo, hi] of the cells of side g meeting the left branch
+    [x - xhi, x - xlo] and the right branch [x + xlo, x + xhi] of each row,
+    padded by one cell; row 0 of each array is the left branch."""
+    lo = np.floor(np.array([x - xhi, x + xlo]) / g).astype(np.int64) - 1
+    hi = np.floor(np.array([x - xlo, x + xhi]) / g).astype(np.int64) + 1
+    return lo, hi
+
+
 def _annulus_cells(atoms: np.ndarray, delta: float, g: float):
     """Incidences of cells of side g whose center w satisfies
     | ||w - x|| - r | <= delta, for every atom (x, r) at once.
@@ -381,10 +436,8 @@ def _annulus_cells(atoms: np.ndarray, delta: float, g: float):
     x = cx[atom]
     xhi = np.sqrt(out2)
     xlo = np.sqrt(np.maximum(r_in[atom] ** 2 - dy ** 2, 0.0))
-    # left branch [x - xhi, x - xlo] and right branch [x + xlo, x + xhi],
-    # each padded by one cell; a row whose two ranges overlap scans their union
-    lo = np.floor(np.array([x - xhi, x + xlo]) / g).astype(np.int64) - 1
-    hi = np.floor(np.array([x - xlo, x + xhi]) / g).astype(np.int64) + 1
+    lo, hi = _branch_ranges(x, xlo, xhi, g)
+    # a row whose two ranges overlap scans their union
     split = lo[1] > hi[0]
     seg_row = np.concatenate([np.arange(atom.size), split.nonzero()[0]])
     seg_lo = np.concatenate([lo[0], lo[1][split]])
@@ -419,6 +472,23 @@ def multiplicity_field(measure: DiscreteMeasure, delta: float, grid_k: int) -> M
         positions=pos,
         total_mass=measure.total_mass,
     )
+
+
+def annulus_cell_count(atom, delta: float, g: float) -> int:
+    """Cells of side g whose center w satisfies | ||w - x|| - r | <= delta for
+    one atom (x, r), counted over the whole bounding box of the annulus,
+    padded by one cell, without the row and branch pruning of
+    multiplicity_field: an independent check of its per-atom counts."""
+    cx, cy, r = (float(v) for v in atom)
+    r_out = r + delta
+    ix = np.arange(math.floor((cx - r_out) / g) - 1, math.floor((cx + r_out) / g) + 2)
+    iy = np.arange(math.floor((cy - r_out) / g) - 1, math.floor((cy + r_out) / g) + 2)
+    dx = (ix + 0.5) * g - cx
+    count = 0
+    for rows in np.array_split(iy, -(-iy.size * ix.size // (1 << 18))):  # ~256k cells a pass
+        dy = (rows + 0.5) * g - cy
+        count += int(np.count_nonzero(np.abs(np.hypot(dx[None, :], dy[:, None]) - r) <= delta))
+    return count
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 from flab import cli
 from flab import fractal as fr
 from flab import geometry as geo
+from flab import incidence as inc
 from flab.errors import DegenerateTriangle
 
 
@@ -220,6 +221,19 @@ class TestMultiplicity:
         assert header == "ix,iy,m"
         ratios = (out2 / "s2_ratios.csv").read_text().splitlines()
         assert ratios[0] == "z_index,s1_cells,s2_cells,ratio,threshold"
+
+    def test_fubini_flag_sees_dropped_cells(self, gen_run, tmp_path, monkeypatch):
+        # the recount must not share the branch ranges it checks: narrow them
+        # to one cell per branch and the flag turns false
+        base, out = gen_run
+        cfg = write_json(tmp_path / "m.json", {"v": str(out / "v.csv")})
+        padded = inc._branch_ranges
+        monkeypatch.setattr(
+            inc, "_branch_ranges", lambda *a: (lambda lo, hi: (lo, lo))(*padded(*a))
+        )
+        assert run(["multiplicity", "--config", cfg, "--out", tmp_path / "m_out"]) == 0
+        summary = json.loads((tmp_path / "m_out" / "summary.json").read_text())
+        assert summary["fubini_incidences_exact"] is False
 
 
 class TestReport:

@@ -231,6 +231,27 @@ class TestContent:
         assert lower >= 1.0
         assert lower <= est.upper
 
+    def test_block_count_anchored_at_an_empty_cell(self):
+        # cells (1, 0) and (0, 1) share only the block whose lower-left cell
+        # (0, 0) is empty
+        pts = np.array([[1.05, 0.95], [0.95, 1.05]])
+        assert fr._block_max_count(pts, 1.0) == 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=40),
+        st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    def test_block_count_matches_brute_force(self, rows, side):
+        pts = (np.array(rows, dtype=float) + 0.5) * side / 2.0
+        idx = np.floor(pts / side).astype(int)
+        brute = max(
+            int(np.all((idx >= (ax, ay)) & (idx <= (ax + 1, ay + 1)), axis=1).sum())
+            for ax in range(-5, 5)
+            for ay in range(-5, 5)
+        )
+        assert fr._block_max_count(pts, side) == brute
+
     def test_cover_record_matches_upper(self):
         k = 6
         est = fr.content_greedy(circle_cloud(k, r=0.7), 1.0, 2.0 ** (-k))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -237,6 +238,14 @@ class TestInversion:
     def test_invert_set_requires_annulus(self):
         with pytest.raises(OutOfAnnulus):
             gen.invert_set(gen.PointCloud(np.array([[0.5, 0.0]]), 6))
+
+
+class TestLevelsForSeparation:
+    def test_one_index_pattern_refused_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigInvalid):
+            gen._levels_for_separation(2, (0,), 1.0, 0.01)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestLinearFurstenberg:

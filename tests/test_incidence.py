@@ -217,6 +217,71 @@ class TestExtractThreeArcs:
             inc.extract_three_arcs(z, pts, 1.0, 0.5, delta=d)
 
 
+class TestContentDecision:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.integers(1, 60) | st.integers(61, 1500) | st.integers(4000, 5000),
+        k=st.integers(5, 9),
+        s_prime=st.sampled_from([0.55, 0.75, 0.7924812503605781, 1.0]),
+        spread=st.sampled_from([0.05, 0.3, 1.0]),
+        jitter=st.sampled_from([0.0, 0.25, 1.0, 40.0]),
+        at_center=st.integers(0, 3),
+        side=st.sampled_from(["sub", "full", "both"]),
+        nudge=st.sampled_from([0.5, 1.0, "up", 1.5]),
+    )
+    def test_decision_matches_computed_estimate(
+        self, seed, n, k, s_prime, spread, jitter, at_center, side, nudge
+    ):
+        # clouds on part of a random circle, jittered off it by up to
+        # jitter * delta, some points at or next to the center; eta on both
+        # sides of the strided and of the full estimate.  The rule the
+        # decision replaces: fail when content_lower of the strided subset,
+        # and then of the full cloud, falls below eta.
+        rng = np.random.default_rng(seed)
+        delta = 2.0 ** (-k)
+        z = CircleParam(tuple(rng.uniform(-0.3, 0.3, 2)), rng.uniform(0.2, 2.0))
+        ang = rng.uniform(0.0, 2.0 * math.pi * spread, n)
+        rad = z.radius + jitter * delta * rng.uniform(-1.0, 1.0, n)
+        pts = np.column_stack(
+            [z.center[0] + rad * np.cos(ang), z.center[1] + rad * np.sin(ang)]
+        )
+        near = np.array(z.center) + rng.choice([0.0, 1e-12, delta / 3], (at_center, 1)) * [1, -1]
+        pts = np.concatenate([near, pts])[: max(n, 1)]
+        stride = max(1, -(-pts.shape[0] // 1024))
+        lowers = {
+            "sub": fr.content_lower(pts[::stride], s_prime, delta),
+            "full": fr.content_lower(pts, s_prime, delta),
+        }
+        base = min(lowers.values()) if side == "both" else lowers[side]
+        eta = np.nextafter(base, np.inf) if nudge == "up" else base * nudge
+        if lowers["sub"] < eta and lowers["full"] < eta:
+            with pytest.raises(InsufficientContent):
+                inc._require_content(z, pts, s_prime, delta, eta)
+        else:
+            inc._require_content(z, pts, s_prime, delta, eta)
+
+    def test_failure_message_prints_the_full_estimate(self):
+        k = 8
+        d = 2.0 ** (-k)
+        z = CircleParam((0.1, -0.05), 0.8)
+        pts = circle_points(z, np.linspace(0.0, 1.0, 300))
+        lower = fr.content_lower(pts, 1.0, d)
+        eta = 2.0 * lower
+        with pytest.raises(InsufficientContent) as err:
+            inc._require_content(z, pts, 1.0, d, eta)
+        assert str(err.value) == f"content lower estimate {lower:.4g} below eta {eta:.4g}"
+
+    def test_passing_circle_never_computes_the_estimate(self):
+        k = 8
+        d = 2.0 ** (-k)
+        z = CircleParam((0.0, 0.0), 1.0)
+        pts = uniform_circle(z, k)
+        with mock.patch.object(inc, "content_lower", side_effect=AssertionError):
+            eta = inc.auto_eta(z, pts, 1.0, d, k)
+            inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
+
+
 def brute_arc_sets(tri, pts, k):
     """Definitional python loops: the occupied cells of each of the three arcs."""
     sets = [set(), set(), set()]
