@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigInvalid, DegenerateTriangle, EmptyInput
-from .geometry import circumcenter
+from .geometry import _hull_vertices, circumcenter
 
 
 def _pack(idx: np.ndarray) -> np.ndarray:
@@ -445,14 +445,7 @@ def _circumcircle2(p, q):
 
 def _min_enclosing_ball_2d(pts: np.ndarray):
     """Minimal enclosing ball (Welzl, move-to-front), hull-reduced, seeded."""
-    cand = pts
-    if pts.shape[0] > 16:
-        try:
-            from scipy.spatial import ConvexHull
-
-            cand = pts[ConvexHull(pts).vertices]
-        except Exception:
-            cand = pts
+    cand = _hull_vertices(pts) if pts.shape[0] > 16 else pts
     P = cand[np.random.default_rng(0).permutation(cand.shape[0])]
     eps = 1e-12
 

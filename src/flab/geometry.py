@@ -276,95 +276,70 @@ def w_region_membership(frame: TriangleFrame, a: float, b: float, x) -> bool:
 
 # --- origin-anchored grid scan of W ----------------------------------------
 #
-# The planar grid is g*Z^2 and the b grid is {1/2 + m*g}.  Cells are pruned
-# with interval bounds on the three distances; pruning is conservative, so the
-# surviving grid points are exactly those a full scan would return.
+# The planar grid is g*Z^2 and the b grid is {1/2 + m*g}.  One refinement loop
+# (_scan_levels) starts from a square of halfwidth 2 + a + 2g around A, prunes
+# its cells with interval bounds on the three distances, and splits each
+# survivor into four until the cells have halfwidth <= 4g.  Pruning is
+# conservative, so the grid points in the last level's cells that pass the
+# exact test are exactly those a full scan would return.  Members come out
+# cell-major, then by i, j and b.
 
 _PRUNE_EPS = 1e-12
 
 
-def _cell_distance_bounds(cx, cy, half, P):
-    dx = np.abs(cx - P[0])
-    dy = np.abs(cy - P[1])
-    ox = np.maximum(dx - half, 0.0)
-    oy = np.maximum(dy - half, 0.0)
-    dmin = np.hypot(ox, oy)
-    dmax = np.hypot(dx + half, dy + half)
-    return dmin, dmax
+def _runs(lo: np.ndarray, n: np.ndarray):
+    """Run index and value of every entry of the integer runs lo[j] .. lo[j] + n[j] - 1."""
+    run = np.repeat(np.arange(n.size), n)
+    return run, (lo + n - np.cumsum(n))[run] + np.arange(run.size)
 
 
-def _prune_cells(cx, cy, half, pts, a):
-    """Boolean mask of cells that may contain a planar point of W."""
-    dmins = []
-    dmaxs = []
-    for P in pts:
-        dmin, dmax = _cell_distance_bounds(cx, cy, half, P)
-        dmins.append(dmin)
-        dmaxs.append(dmax)
-    dmins = np.stack(dmins)
-    dmaxs = np.stack(dmaxs)
-    hi_min = dmins.max(axis=0)  # lower bound for max_P d_P on the cell
-    lo_max = dmaxs.min(axis=0)  # upper bound for min_P d_P on the cell
-    keep = hi_min - lo_max <= 2.0 * a + _PRUNE_EPS
-    keep &= hi_min - a <= _B_HI + _PRUNE_EPS
-    keep &= lo_max + a >= _B_LO - _PRUNE_EPS
-    return keep, hi_min, lo_max
-
-
-def _root_cell(frame: TriangleFrame, a: float, g: float):
-    A = np.asarray(frame.a)
+def _scan_levels(frame: TriangleFrame, a: float, g: float):
+    """Yield (cx, cy, half, blo, bhi) for each level of the refinement: the
+    centers of the cells that may hold a planar point of W, their common
+    halfwidth, and the b-envelope [blo, bhi] of each.  Stops after a level
+    that is empty or has half <= 4g."""
+    if not (0.0 < g <= a / 4.0):
+        raise HypothesisViolated("need 0 < grid_step <= a/4")
+    P = frame.points()[:, :, None]
+    cx = np.array([frame.a[0]])
+    cy = np.array([frame.a[1]])
     half = 2.0 + a + 2.0 * g
-    return A[0], A[1], half
-
-
-def _split_cells(cx, cy, half):
-    q = half / 2.0
-    cx4 = np.concatenate([cx - q, cx - q, cx + q, cx + q])
-    cy4 = np.concatenate([cy - q, cy + q, cy - q, cy + q])
-    return cx4, cy4, q
+    while True:
+        dx = np.abs(cx - P[:, 0])
+        dy = np.abs(cy - P[:, 1])
+        # a lower bound for max_P d_P and an upper bound for min_P d_P on the cell
+        hi_min = np.hypot(np.maximum(dx - half, 0.0), np.maximum(dy - half, 0.0)).max(axis=0)
+        lo_max = np.hypot(dx + half, dy + half).min(axis=0)
+        keep = hi_min - lo_max <= 2.0 * a + _PRUNE_EPS
+        keep &= hi_min - a <= _B_HI + _PRUNE_EPS
+        keep &= lo_max + a >= _B_LO - _PRUNE_EPS
+        cx, cy = cx[keep], cy[keep]
+        yield cx, cy, half, np.maximum(hi_min[keep] - a, _B_LO), np.minimum(lo_max[keep] + a, _B_HI)
+        if cx.size == 0 or half <= 4.0 * g:
+            return
+        half /= 2.0
+        cx = np.concatenate([cx - half, cx - half, cx + half, cx + half])
+        cy = np.concatenate([cy - half, cy + half, cy - half, cy + half])
 
 
 def _enumerate_members(cx, cy, half, frame, a, g):
     """Exact grid members inside the given (pre-pruned) cells."""
     pts3 = frame.points()
-    xs_list = []
-    for k in range(cx.size):
-        ilo = math.ceil((cx[k] - half) / g)
-        ihi = math.ceil((cx[k] + half) / g) - 1
-        jlo = math.ceil((cy[k] - half) / g)
-        jhi = math.ceil((cy[k] + half) / g) - 1
-        if ihi < ilo or jhi < jlo:
-            continue
-        ii = np.arange(ilo, ihi + 1)
-        jj = np.arange(jlo, jhi + 1)
-        gx, gy = np.meshgrid(ii * g, jj * g, indexing="ij")
-        xs_list.append(np.column_stack([gx.ravel(), gy.ravel()]))
-    if not xs_list:
-        return np.empty((0, 3))
-    xy = np.concatenate(xs_list)
+    ilo = np.ceil((cx - half) / g).astype(np.int64)
+    jlo = np.ceil((cy - half) / g).astype(np.int64)
+    ni = np.maximum(np.ceil((cx + half) / g).astype(np.int64) - ilo, 0)
+    nj = np.maximum(np.ceil((cy + half) / g).astype(np.int64) - jlo, 0)
+    cell, i = _runs(ilo, ni)
+    row, j = _runs(jlo[cell], nj[cell])
+    xy = np.column_stack([i[row] * g, j * g])
     d = np.stack([np.hypot(xy[:, 0] - P[0], xy[:, 1] - P[1]) for P in pts3])
-    dmax = d.max(axis=0)
-    dmin = d.min(axis=0)
-    blo = np.maximum(dmax - a, _B_LO)
-    bhi = np.minimum(dmin + a, _B_HI)
-    ok = blo <= bhi
-    if not np.any(ok):
-        return np.empty((0, 3))
-    xy = xy[ok]
-    blo = blo[ok]
-    bhi = bhi[ok]
+    blo = np.maximum(d.max(axis=0) - a, _B_LO)
+    bhi = np.minimum(d.min(axis=0) + a, _B_HI)
     mlo = np.ceil((blo - _B_LO) / g - 1e-12).astype(np.int64)
     mhi = np.floor((bhi - _B_LO) / g + 1e-12).astype(np.int64)
     # The +-1e-12 index slack can admit a borderline b; re-check exactly below.
-    counts = np.maximum(mhi - mlo + 1, 0)
-    keep = counts > 0
-    xy, mlo, counts = xy[keep], mlo[keep], counts[keep]
-    if xy.shape[0] == 0:
-        return np.empty((0, 3))
-    reps = np.repeat(np.arange(xy.shape[0]), counts)
-    offs = np.concatenate([np.arange(c) for c in counts])
-    bvals = _B_LO + (mlo[reps] + offs) * g
-    members = np.column_stack([xy[reps], bvals])
+    point, m = _runs(mlo, np.where(blo <= bhi, np.maximum(mhi - mlo + 1, 0), 0))
+    members = np.column_stack([xy[point], _B_LO + m * g])
     d = np.stack(
         [np.hypot(members[:, 0] - P[0], members[:, 1] - P[1]) for P in pts3]
     )
@@ -375,39 +350,40 @@ def _enumerate_members(cx, cy, half, frame, a, g):
 
 
 def w_region_grid_members(frame: TriangleFrame, a: float, grid_step: float) -> np.ndarray:
-    """All grid points (x1, x2, b) of W on the origin-anchored grid."""
-    g = float(grid_step)
-    a = float(a)
-    cx0, cy0, half = _root_cell(frame, a, g)
-    cx = np.array([cx0])
-    cy = np.array([cy0])
-    pts3 = frame.points()
-    while half > 4.0 * g:
-        keep, _, _ = _prune_cells(cx, cy, half, pts3, a)
-        cx, cy = cx[keep], cy[keep]
-        if cx.size == 0:
-            return np.empty((0, 3))
-        cx, cy, half = _split_cells(cx, cy, half)
-    keep, _, _ = _prune_cells(cx, cy, half, pts3, a)
-    cx, cy = cx[keep], cy[keep]
-    if cx.size == 0:
-        return np.empty((0, 3))
+    """All grid points (x1, x2, b) of W on the origin-anchored grid.
+
+    Raises HypothesisViolated unless 0 < grid_step <= a/4.
+    """
+    a, g = float(a), float(grid_step)
+    for level in _scan_levels(frame, a, g):
+        pass
+    cx, cy, half, _, _ = level
     return _enumerate_members(cx, cy, half, frame, a, g)
 
 
-def _diameter(points: np.ndarray) -> float:
-    """Exact max pairwise Euclidean distance (any dimension)."""
-    n = points.shape[0]
-    if n < 2:
-        return 0.0
-    cand = points
-    if n > 4096:
-        try:
-            from scipy.spatial import ConvexHull
+def _hull_vertices(points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` that are vertices of their convex hull, or all
+    rows when Qhull cannot build a hull (fewer than dim + 1 points, or a flat
+    set)."""
+    from scipy.spatial import ConvexHull, QhullError
 
-            cand = points[ConvexHull(points).vertices]
-        except Exception:
-            cand = points  # degenerate hull; fall back to blocked brute force
+    try:
+        return points[ConvexHull(points).vertices]
+    except QhullError:
+        return points
+
+
+def _diameter(points: np.ndarray) -> float:
+    """Max pairwise Euclidean distance (any dimension), over the hull vertices.
+
+    A farthest pair is a pair of hull vertices, so on sets whose distinct
+    points lie well apart, such as grid members, this is the all-pairs
+    maximum bit for bit (an oracle test pins it).  Of two points within
+    rounding of each other Qhull may keep either, which can move the last bit.
+    """
+    if points.shape[0] < 2:
+        return 0.0
+    cand = _hull_vertices(points)
     m = cand.shape[0]
     best = 0.0
     block = 2048
@@ -421,11 +397,11 @@ def _diameter(points: np.ndarray) -> float:
 
 
 def w_region_sample_diameter(frame: TriangleFrame, a: float, grid_step: float) -> float:
-    """Max pairwise R^3 distance over the grid members of W (0 if <= 1)."""
-    if grid_step > a / 4.0:
-        raise HypothesisViolated("grid_step must be <= a/4")
-    members = w_region_grid_members(frame, a, grid_step)
-    return _diameter(members)
+    """Max pairwise R^3 distance over the grid members of W (0 if <= 1).
+
+    Raises HypothesisViolated unless 0 < grid_step <= a/4.
+    """
+    return _diameter(w_region_grid_members(frame, a, grid_step))
 
 
 def w_region_diameter_within(
@@ -433,31 +409,19 @@ def w_region_diameter_within(
 ) -> bool:
     """Whether the sampled diameter of W is <= bound.
 
-    Refines the pruned cell cover level by level; as soon as the reachable
-    envelope of the surviving cells fits inside ``bound`` the answer is
-    certified without enumeration.  Falls back to the exact scan otherwise,
-    so the result always equals w_region_sample_diameter(...) <= bound.
+    Walks the refinement levels; as soon as the reachable envelope of a
+    level's surviving cells fits inside ``bound`` the answer is certified
+    without enumeration.  Otherwise the last level is enumerated, so the
+    result always equals w_region_sample_diameter(...) <= bound.  Raises
+    HypothesisViolated unless 0 < grid_step <= a/4.
     """
-    g = float(grid_step)
-    a = float(a)
-    cx0, cy0, half = _root_cell(frame, a, g)
-    cx = np.array([cx0])
-    cy = np.array([cy0])
-    pts3 = frame.points()
-    while True:
-        keep, hi_min, lo_max = _prune_cells(cx, cy, half, pts3, a)
-        cx, cy = cx[keep], cy[keep]
+    a, g = float(a), float(grid_step)
+    for cx, cy, half, blo, bhi in _scan_levels(frame, a, g):
         if cx.size == 0:
             return True
-        blo = np.maximum(hi_min[keep] - a, _B_LO)
-        bhi = np.minimum(lo_max[keep] + a, _B_HI)
         dx = (cx.max() + half) - (cx.min() - half)
         dy = (cy.max() + half) - (cy.min() - half)
         db = max(float(bhi.max() - blo.min()), 0.0)
         if math.sqrt(dx * dx + dy * dy + db * db) <= bound:
             return True
-        if half <= 4.0 * g:
-            break
-        cx, cy, half = _split_cells(cx, cy, half)
-    members = _enumerate_members(cx, cy, half, frame, a, g)
-    return _diameter(members) <= bound
+    return _diameter(_enumerate_members(cx, cy, half, frame, a, g)) <= bound

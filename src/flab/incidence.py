@@ -26,7 +26,7 @@ from .fractal import (
     content_greedy,
     content_lower,
 )
-from .geometry import CircleParam
+from .geometry import CircleParam, _runs
 
 C0_DEFAULT = 4.0 * math.pi + 2.0  # pinned area constant in |S^delta(z)| <= c0*delta
 
@@ -399,12 +399,6 @@ class MultiplicityField:
     @property
     def sup(self) -> float:
         return float(self.values.max()) if self.values.size else 0.0
-
-
-def _runs(lo: np.ndarray, n: np.ndarray):
-    """Run index and value of every entry of the integer runs lo[j] .. lo[j] + n[j] - 1."""
-    run = np.repeat(np.arange(n.size), n)
-    return run, (lo + n - np.cumsum(n))[run] + np.arange(run.size)
 
 
 def _branch_ranges(x, xlo, xhi, g: float):

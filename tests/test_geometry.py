@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -242,3 +243,83 @@ class TestWRegion:
             frame = geo.TriangleFrame.create(*P, c)
             bound = 2.0 * geo.THREE_CIRCLE_K * a / (c * c)
             assert geo.w_region_diameter_within(frame, a, a / 10.0, bound)
+
+    @pytest.mark.parametrize("step", [0.0, -0.001, 0.005])
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            geo.w_region_grid_members,
+            geo.w_region_sample_diameter,
+            lambda frame, a, g: geo.w_region_diameter_within(frame, a, g, 1.0),
+        ],
+        ids=["grid_members", "sample_diameter", "diameter_within"],
+    )
+    def test_grid_step_outside_range_raises(self, scan, step):
+        # 0, -a/10 and a/2 for a = 0.01: a step <= 0 would refine forever
+        t0 = time.perf_counter()
+        with pytest.raises(HypothesisViolated):
+            scan(equilateral_frame(), 0.01, step)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize(
+        "frame, a, g",
+        [
+            (equilateral_frame(), 0.01, 0.001),
+            (geo.TriangleFrame.create((0.0, 0.0), (1.0, 0.0), (0.5, 0.8), 0.4), 0.002, 0.0002),
+        ],
+        ids=["equilateral", "isoceles"],
+    )
+    def test_members_are_every_grid_point_of_w(self, frame, a, g):
+        # full scan of the members' bounding box, padded by 3 steps, point by point
+        members = geo.w_region_grid_members(frame, a, g)
+        idx = np.round((members - [0.0, 0.0, 0.5]) / g).astype(int)
+        lo = idx.min(axis=0) - 3
+        hi = idx.max(axis=0) + 3
+        found = set()
+        for i in range(lo[0], hi[0] + 1):
+            for j in range(lo[1], hi[1] + 1):
+                for m in range(lo[2], hi[2] + 1):
+                    b = 0.5 + m * g
+                    if 0.5 <= b <= 2.0 and geo.w_region_membership(frame, a, b, (i * g, j * g)):
+                        found.add((i * g, j * g, b))
+        assert len(found) > 1000
+        assert sorted(found) == sorted(map(tuple, members.tolist()))
+
+
+def all_pairs_diameter(points):
+    """Max over all pairs of the same squared-distance expression, in row blocks."""
+    best = 0.0
+    for i in range(0, points.shape[0], 512):
+        d2 = ((points[i : i + 512, None, :] - points[None, :, :]) ** 2).sum(-1)
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)
+
+
+@st.composite
+def lattice_sets(draw):
+    """Lattice point sets like the grid members: general, collinear or
+    coplanar, with repeated rows, 0 points and up."""
+    dim = draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(min_value=1, max_value=dim))
+    n = draw(st.integers(min_value=0, max_value=40))
+    ints = st.integers(min_value=-12, max_value=12)
+    basis = np.array(draw(st.lists(st.lists(ints, min_size=dim, max_size=dim), min_size=rank + 1, max_size=rank + 1)))
+    coef = np.array(draw(st.lists(st.lists(ints, min_size=rank, max_size=rank), min_size=n, max_size=n)), dtype=np.int64)
+    idx = basis[0] + coef.reshape(n, rank) @ basis[1:]
+    if n:
+        idx = np.concatenate([idx, idx[draw(st.lists(st.integers(0, n - 1), max_size=5))]])
+    step = draw(st.sampled_from([1.0, 0.37, 1e-3]))
+    return idx * step + draw(st.sampled_from([0.0, 0.5]))
+
+
+class TestDiameter:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_sets())
+    def test_matches_all_pairs(self, pts):
+        assert geo._diameter(pts) == all_pairs_diameter(pts)
+
+    def test_large_member_set_matches_all_pairs(self):
+        members = geo.w_region_grid_members(equilateral_frame(), 0.01, 0.01 / 12.0)
+        assert members.shape[0] > 4096
+        assert geo._diameter(members) == all_pairs_diameter(members)
+        assert geo._diameter(members[:, :2]) == all_pairs_diameter(members[:, :2])
