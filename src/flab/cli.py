@@ -299,6 +299,15 @@ def cmd_triples(
     }
 
 
+def write_cells_m(path, field: inc.MultiplicityField) -> None:
+    """cells_m.csv; each distinct m, told apart by its bit pattern, is formatted once."""
+    bits = field.values.view(np.int64)
+    uniq, starts, order = fr._unique_runs(bits)
+    text = [repr(m) for m in field.values[order[starts]].tolist()]
+    m_text = map(text.__getitem__, np.searchsorted(uniq, bits).tolist())
+    fr.write_csv(path, "ix,iy,m", zip(*field.cells.T.tolist(), m_text))
+
+
 def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -> dict:
     """Multiplicity field of the circle family `v`; without one, of the file
     config["v"]."""
@@ -322,11 +331,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
     params = inc.ThresholdParams.from_exponents(
         s_prime, t_prime, epsilon, k1, c0=c0
     )
-    fr.write_csv(
-        os.path.join(outdir, "cells_m.csv"),
-        "ix,iy,m",
-        zip(field.cells[:, 0].tolist(), field.cells[:, 1].tolist(), field.values.tolist()),
-    )
+    write_cells_m(os.path.join(outdir, "cells_m.csv"), field)
     ratio_rows = []
     for idx in range(len(v)):
         st = inc.low_multiplicity_subset(idx, field, params)

@@ -443,10 +443,18 @@ def _circumcircle2(p, q):
     return c, float(np.linalg.norm(p - c))
 
 
+@functools.lru_cache(maxsize=256)
+def _welzl_order(n: int) -> np.ndarray:
+    """The seeded Welzl visiting order of n points; read-only, as callers share it."""
+    order = np.random.default_rng(0).permutation(n)
+    order.flags.writeable = False
+    return order
+
+
 def _min_enclosing_ball_2d(pts: np.ndarray):
     """Minimal enclosing ball (Welzl, move-to-front), hull-reduced, seeded."""
     cand = _hull_vertices(pts) if pts.shape[0] > 16 else pts
-    P = cand[np.random.default_rng(0).permutation(cand.shape[0])]
+    P = cand[_welzl_order(cand.shape[0])]
     eps = 1e-12
 
     def ball_with_2(points, p, q):
@@ -488,6 +496,11 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
     """Upper content estimate: density-greedy cover by balls of dyadic cells
     (radius >= ~r_min), or the single enclosing ball when that is cheaper.
     content_lower gives the matching lower estimate.
+
+    Each greedy step sorts the uncovered points' keys of every level
+    j = 0..floor(log2(1/r_min)) at once and picks the cell with the most
+    uncovered points per (sqrt(dim) 2^-j)^s; ties go to the coarser level,
+    then to the lower cell key.
     """
     if isinstance(points, PointCloud):
         if r_min < points.delta:
@@ -499,50 +512,37 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
         raise EmptyInput("no points")
     if not (0.0 < s <= 2.0):
         raise ValueError("need 0 < s <= 2")
-    dim = pts.shape[1]
+    n, dim = pts.shape
     rootd = math.sqrt(dim)
-    j_max = max(math.floor(math.log2(1.0 / r_min)), 0)
-    levels = list(range(0, j_max + 1))
-    keys = np.stack(
-        [_pack(np.floor(pts * (1 << j)).astype(np.int64)) for j in levels]
-    )
-    covered = np.zeros(pts.shape[0], dtype=bool)
+    n_levels = max(math.floor(math.log2(1.0 / r_min)), 0) + 1
+    # (L, n) keys, row j for the cells of side 2^-j, from one _pack call
+    cells = np.floor(np.ldexp(pts, np.arange(n_levels)[:, None, None])).astype(np.int64)
+    keys = _pack(cells.reshape(-1, dim)).reshape(n_levels, n)
+    w = np.array([(rootd * 2.0 ** (-j)) ** s for j in range(n_levels)])
+    covered = np.zeros(n, dtype=bool)
     picks = []
     greedy_sum = 0.0
     while not covered.all():
-        best = None  # (score, -(-level)...) choose max score, coarser, lower key
         live = ~covered
-        n_live = int(live.sum())
-        for j in levels:
-            u, starts, _ = _unique_runs(keys[j][live])
-            # Run lengths; np.diff(append=) would cost more than the sort.
-            c = np.concatenate((starts[1:], [n_live])) - starts
-            side = 2.0 ** (-j)
-            w = (rootd * side) ** s
-            scores = c / w
-            i = int(np.argmax(scores))
-            # argmax takes the first max, i.e. the lowest key: deterministic
-            cand = (float(scores[i]), -j, int(u[i]))
-            if best is None or (cand[0], cand[1], -cand[2]) > (
-                best[0],
-                best[1],
-                -best[2],
-            ):
-                best = cand
-        score, negj, key = best
-        j = -negj
+        flat = np.sort(keys[:, live], axis=1).ravel()
+        m = flat.size // n_levels
+        first = np.concatenate(([True], flat[1:] != flat[:-1]))
+        first[::m] = True  # a run never crosses into the next level
+        starts = first.nonzero()[0]
+        # Run lengths; np.diff(append=) would cost more than the sort.
+        c = np.concatenate((starts[1:], [flat.size])) - starts
+        # Flat order is level, then key, ascending, so argmax's first maximum
+        # is the highest score, then the coarser level, then the lower key.
+        i = starts[np.argmax(c / w[starts // m])]
+        j, key = int(i // m), flat[i]
         side = 2.0 ** (-j)
         sel = live & (keys[j] == key)
-        cell = np.floor(pts[sel][0] * (1 << j)) * side + side / 2.0
+        cell = cells[j][sel][0] * side + side / 2.0
         picks.append((tuple(cell), rootd * side / 2.0))
         greedy_sum += (rootd * side) ** s
         covered |= sel
     center, rad = _enclosing_candidate(pts, r_min)
     enc_sum = (2.0 * rad) ** s
     if enc_sum <= greedy_sum:
-        cover = [(center, rad)]
-        upper = enc_sum
-    else:
-        cover = picks
-        upper = greedy_sum
-    return ContentEstimate(upper=upper, cover=cover)
+        return ContentEstimate(upper=enc_sum, cover=[(center, rad)])
+    return ContentEstimate(upper=greedy_sum, cover=picks)

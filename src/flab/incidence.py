@@ -383,8 +383,9 @@ class MultiplicityField:
     covering atoms) are (n,) arrays aligned with it.  ``positions`` holds
     each atom's annulus cells as indices into ``cells``, in lexicographic
     order, concatenated in atom order; ``per_atom_counts`` gives each atom's
-    share.  Every value is the left-to-right float sum of its covering
-    atoms' weights in ascending atom order, so reruns agree bit for bit.
+    share and ``atom_starts`` where it starts.  Every value is the
+    left-to-right float sum of its covering atoms' weights in ascending atom
+    order, so reruns agree bit for bit.
     """
 
     delta: float
@@ -393,6 +394,7 @@ class MultiplicityField:
     values: np.ndarray
     incidences: np.ndarray
     per_atom_counts: np.ndarray
+    atom_starts: np.ndarray
     positions: np.ndarray
     total_mass: float
 
@@ -453,6 +455,7 @@ def multiplicity_field(measure: DiscreteMeasure, delta: float, grid_k: int) -> M
     The accumulation happens in ascending atom order.
     """
     atom, keys = _annulus_cells(measure.points, delta, 2.0 ** (-grid_k))
+    counts = np.bincount(atom, minlength=len(measure))
     uniq, _, _ = _unique_runs(keys)
     pos = np.searchsorted(uniq, keys)
     # bincount adds in input order, which is atom-major
@@ -462,7 +465,8 @@ def multiplicity_field(measure: DiscreteMeasure, delta: float, grid_k: int) -> M
         cells=_unpack(uniq, 2),
         values=np.bincount(pos, weights=measure.weights[atom], minlength=uniq.size),
         incidences=np.bincount(pos, minlength=uniq.size),
-        per_atom_counts=np.bincount(atom, minlength=len(measure)),
+        per_atom_counts=counts,
+        atom_starts=np.cumsum(counts) - counts,
         positions=pos,
         total_mass=measure.total_mass,
     )
@@ -514,6 +518,8 @@ class ThresholdParams:
             raise ValueError("threshold route needs 1/2 < s' <= 1")
         if not (0.0 < t_prime <= 1.0 and epsilon > 0.0):
             raise ValueError("need t' in (0,1] and epsilon > 0")
+        if not c0 > 0.0:
+            raise ValueError("need c0 > 0")
         delta = 2.0 ** (-k1)
         eta = min(epsilon / (2.0 * t_prime), (2.0 * s_prime - 1.0) / 2.0)
         a_param = big_c * delta ** (-eta)
@@ -553,7 +559,7 @@ def low_multiplicity_subset(
     """Cells of the atom's annulus with multiplicity strictly below the
     threshold, plus area statistics.  The 1/2 area ratio is a reported
     statistic, not an asserted invariant."""
-    start = int(field.per_atom_counts[:atom_idx].sum())
+    start = int(field.atom_starts[atom_idx])
     pos = field.positions[start : start + int(field.per_atom_counts[atom_idx])]
     s1 = field.cells[pos]
     low = field.values[pos] < params.threshold

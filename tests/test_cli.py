@@ -235,6 +235,27 @@ class TestMultiplicity:
         summary = json.loads((tmp_path / "m_out" / "summary.json").read_text())
         assert summary["fubini_incidences_exact"] is False
 
+    @pytest.mark.parametrize("c0", [0, -1.0])
+    def test_c0_not_positive_exit2(self, c0, tmp_path):
+        fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
+        cfg = write_json(tmp_path / "m.json", {"v": str(tmp_path / "v.csv"), "c0": c0})
+        assert run(["multiplicity", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+    def test_cells_m_round_trips(self, uniform, tmp_path):
+        rng = np.random.default_rng(3)
+        atoms = np.column_stack([rng.uniform(0, 1, (40, 2)), rng.uniform(0.5, 1, 40)])
+        weights = np.full(40, 1 / 40) if uniform else rng.uniform(0.5, 1.5, 40) / 60
+        field = inc.multiplicity_field(fr.DiscreteMeasure(atoms, weights), 2.0 ** -5, 6)
+        assert len(set(field.values.tolist())) > (1 if uniform else 40)
+        cli.write_cells_m(tmp_path / "cells_m.csv", field)
+        lines = (tmp_path / "cells_m.csv").read_text().splitlines()
+        assert lines[0] == "ix,iy,m" and len(lines) == len(field.cells) + 1
+        for line, (ix, iy), m in zip(lines[1:], field.cells.tolist(), field.values.tolist()):
+            ix_text, iy_text, m_text = line.split(",")
+            assert (int(ix_text), int(iy_text), float(m_text)) == (ix, iy, m)
+            assert m_text == repr(m)
+
 
 class TestReport:
     def test_end_to_end_deterministic_up_to_wall_times(self, tmp_path):

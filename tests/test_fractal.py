@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -42,6 +42,55 @@ def index_rows(dim):
     return st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=60).map(
         lambda rows: np.array(rows, dtype=np.int64)
     )
+
+
+def greedy_oracle(pts, s, r_min):
+    """content_greedy's per-level greedy: one _pack and one _unique_runs per
+    dyadic level and step; the best of each level wins on score, then the
+    coarser level, then the lower key."""
+    pts = np.asarray(pts, dtype=float)
+    rootd = math.sqrt(pts.shape[1])
+    levels = list(range(max(math.floor(math.log2(1.0 / r_min)), 0) + 1))
+    keys = np.stack([fr._pack(np.floor(pts * (1 << j)).astype(np.int64)) for j in levels])
+    covered = np.zeros(pts.shape[0], dtype=bool)
+    picks = []
+    greedy_sum = 0.0
+    while not covered.all():
+        best = None
+        live = ~covered
+        for j in levels:
+            u, starts, _ = fr._unique_runs(keys[j][live])
+            c = np.diff(starts, append=int(live.sum()))
+            scores = c / (rootd * 2.0 ** (-j)) ** s
+            i = int(np.argmax(scores))
+            cand = (float(scores[i]), -j, int(u[i]))
+            if best is None or (cand[0], cand[1], -cand[2]) > (best[0], best[1], -best[2]):
+                best = cand
+        _, negj, key = best
+        j = -negj
+        side = 2.0 ** (-j)
+        sel = live & (keys[j] == key)
+        cell = np.floor(pts[sel][0] * (1 << j)) * side + side / 2.0
+        picks.append((tuple(cell), rootd * side / 2.0))
+        greedy_sum += (rootd * side) ** s
+        covered |= sel
+    center, rad = fr._enclosing_candidate(pts, r_min)
+    enc_sum = (2.0 * rad) ** s
+    if enc_sum <= greedy_sum:
+        return enc_sum, [(center, rad)]
+    return greedy_sum, picks
+
+
+def lattice_sets(dim):
+    """Clusters 4 apart of points on a small lattice: runs tie across levels
+    and keys, and the dyadic cover often beats the one enclosing ball."""
+    cluster = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    offset = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    return st.tuples(
+        st.lists(st.tuples(cluster, offset), min_size=1, max_size=30),
+        st.sampled_from([0, 4]),
+        st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.1, 1.0 / 3.0]),
+    ).map(lambda a: np.array([[a[1] * c + a[2] * p for c, p in zip(*q)] for q in a[0]]))
 
 
 class TestCellKeys:
@@ -251,6 +300,32 @@ class TestContent:
             for ay in range(-5, 5)
         )
         assert fr._block_max_count(pts, side) == brute
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([2, 3]).flatmap(lattice_sets),
+        st.one_of(
+            st.sampled_from([2.0, 1.0, 0.5]),
+            st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False),
+        ),
+        st.sampled_from([4.0, 1.0, 0.5, 2.0 ** -4, 2.0 ** -6, 0.3, 0.05, 0.02]),
+    )
+    # a unit cell holding two points ties its two half cells at s = 1; the
+    # coarser cell wins, and two such cells 8 apart beat the enclosing ball
+    @example(np.array([[0.25, 0.25], [0.75, 0.25], [8.25, 0.25], [8.75, 0.25]]), 1.0, 0.5)
+    def test_greedy_matches_per_level_oracle(self, pts, s, r_min):
+        est = fr.content_greedy(pts, s, r_min)
+        upper, cover = greedy_oracle(pts, s, r_min)
+        assert est.upper == upper
+        assert est.cover == cover
+
+    def test_welzl_order_is_the_seeded_permutation(self):
+        for n in range(2, 65):
+            order = fr._welzl_order(n)
+            assert np.array_equal(order, np.random.default_rng(0).permutation(n))
+            assert not order.flags.writeable
+            with pytest.raises(ValueError):
+                order[0] = 0
 
     def test_cover_record_matches_upper(self):
         k = 6
