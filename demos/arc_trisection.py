@@ -29,8 +29,8 @@ ang = fset.angular[40]
 pts = np.column_stack(
     [z.center[0] + z.radius * np.cos(ang), z.center[1] + z.radius * np.sin(ang)]
 )
-eta = auto_eta(z, pts, 1.0, delta, cfg.k1)
-tri = extract_three_arcs(z, pts, 1.0, eta, delta=delta, content_check=False)
+eta = auto_eta(1.0, delta, cfg.k1)
+tri = extract_three_arcs(z, pts, 1.0, eta, delta=delta)
 print(f"one circle (r = {z.radius:.4f}), {len(pts)} cloud points")
 print(f"  eta = {eta:.4f}, arc length gamma = {tri.gamma:.5f}, tau = {tri.tau:.5f}")
 print(f"  contents: {tuple(round(c, 5) for c in tri.contents)}  "
@@ -43,8 +43,7 @@ for zc, angles in zip(fset.circles, fset.angular):
     p = np.column_stack(
         [zc.center[0] + zc.radius * np.cos(angles), zc.center[1] + zc.radius * np.sin(angles)]
     )
-    e = auto_eta(zc, p, 1.0, delta, cfg.k1)
-    data.append((extract_three_arcs(zc, p, 1.0, e, delta=delta, content_check=False), p))
+    data.append((extract_three_arcs(zc, p, 1.0, eta, delta=delta), p))
 
 grid = box_count(fset.cloud, cfg.k1)
 t_index = build_triple_index(data, grid)

@@ -13,8 +13,8 @@ command with identical inputs and seed reproduces the data files byte for
 byte; the only exception is the wall_times block of `report`.
 
 Exit codes: 0 success, 2 config parse/shape error (a non-integer integer
-field included), 3 invariant violation or any other library error, 4 missing
-input file, 5 experiment degeneracy.
+field or a non-number float field included), 3 invariant violation or any
+other library error, 4 missing input file, 5 experiment degeneracy.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def cmd_boxdim(config: dict, seed, outdir: str, cloud: fr.PointCloud = None) -> 
     slope = inc.dimension_slope(pairs)
     out = {"command": "boxdim", "counts": {str(k): n for k, n in pairs}, "slope": slope}
     if "s" in config and "t" in config:
-        s, t = float(config["s"]), float(config["t"])
+        s, t = gen._json_number(config["s"], "s"), gen._json_number(config["t"], "t")
         bound = max(t / 3.0 + s, (2.0 * s - 1.0) * t + s)
         out["bound"] = bound
         out["slope_minus_bound"] = slope - bound
@@ -204,6 +204,13 @@ def cmd_lemma3c(config: dict, seed, outdir: str) -> dict:
     }
 
 
+def _eta_rule(value):
+    """``value`` when it is "auto", "paper" or a JSON number in (0, 1], else ValueError."""
+    if value not in ("auto", "paper") and not 0.0 < gen._json_number(value, "eta_rule") <= 1.0:
+        raise ValueError(f"eta_rule must lie in (0, 1], got {value!r}")
+    return value
+
+
 def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
     cfg = fset.config
     delta = cfg.delta
@@ -214,14 +221,12 @@ def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
         pts = gen._circle_points(z, angles)
         try:
             if eta_rule == "auto":
-                eta = inc.auto_eta(z, pts, s_prime, delta, cfg.k1)
+                eta = inc.auto_eta(s_prime, delta, cfg.k1)
             elif eta_rule == "paper":
                 eta = 1.0 / (cfg.k1 * cfg.k1)
             else:
                 eta = float(eta_rule)
-            triple = inc.extract_three_arcs(
-                z, pts, s_prime, eta, delta=delta, content_check=eta_rule != "auto"
-            )
+            triple = inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
             data.append((triple, pts))
             per_z_rows.append(
                 (idx, triple.contents[0], triple.contents[1], triple.contents[2], triple.tau)
@@ -240,10 +245,10 @@ def cmd_triples(
     """Arc triples of `fset`; without one, of the set config["generator"] builds."""
     if fset is None and not config.get("generator"):
         raise ValueError("triples config needs a `generator` object")
-    s_prime = float(config.get("s_prime", 0.0))
+    s_prime = gen._json_number(config.get("s_prime", 0.0), "s_prime")
     if not (0.0 < s_prime <= 1.0):
         raise ValueError("triples config needs s_prime in (0, 1]")
-    eta_rule = config.get("eta_rule", "auto")
+    eta_rule = _eta_rule(config.get("eta_rule", "auto"))
     if fset is None:
         fset = gen.assemble_furstenberg(_generator_config(config["generator"], seed))
     cfg = fset.config
@@ -267,6 +272,7 @@ def cmd_triples(
         "z_index,n_plus,n_minus,n_times",
         [(i, int(r[0]), int(r[1]), int(r[2])) for i, r in enumerate(cover_counts)],
     )
+    nonempty = cover_counts[cover_counts.sum(axis=1) > 0]
     taus = [t.tau for t, _ in data if t is not None]
     tau = min(taus) if taus else float("nan")
     ratio = inc.triple_upper_ratio(t_index, grid, tau) if taus else float("nan")
@@ -293,9 +299,7 @@ def cmd_triples(
         "tau": tau,
         "ratio": ratio,
         "per_arc_reference": reference,
-        "min_arc_cells": int(cover_counts[cover_counts.sum(axis=1) > 0].min())
-        if (cover_counts.sum(axis=1) > 0).any()
-        else 0,
+        "min_arc_cells": int(nonempty.min()) if nonempty.size else 0,
     }
 
 
@@ -321,10 +325,10 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
         raise ConfigInvalid("v must be a 3-column (center, radius) cloud")
     k1 = v.k
     grid_k = gen._json_int(config.get("grid_k", k1), "grid_k")
-    s_prime = float(config.get("s_prime", 0.75))
-    t_prime = float(config.get("t_prime", 0.5))
-    epsilon = float(config.get("epsilon", 0.1))
-    c0 = float(config.get("c0", inc.C0_DEFAULT))
+    s_prime = gen._json_number(config.get("s_prime", 0.75), "s_prime")
+    t_prime = gen._json_number(config.get("t_prime", 0.5), "t_prime")
+    epsilon = gen._json_number(config.get("epsilon", 0.1), "epsilon")
+    c0 = gen._json_number(config.get("c0", inc.C0_DEFAULT), "c0")
     delta = 2.0 ** (-k1)
     mu = fr.frostman_measure(v).scaled(1.0 / (k1 * k1))
     field = inc.multiplicity_field(mu, delta, grid_k)
@@ -374,6 +378,7 @@ def cmd_report(config: dict, seed, outdir: str) -> dict:
     gen_cfg = config.get("generator")
     if not gen_cfg:
         raise ValueError("report config needs a `generator` object")
+    eta_rule = _eta_rule(config.get("eta_rule", "auto"))
     walls = {}
     t0 = time.perf_counter()
     fset, gen_summary = cmd_gen(gen_cfg, seed, outdir)
@@ -388,7 +393,7 @@ def cmd_report(config: dict, seed, outdir: str) -> dict:
     walls["boxdim"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     triples_summary = cmd_triples(
-        {"s_prime": config.get("s_prime", s), "eta_rule": config.get("eta_rule", "auto")},
+        {"s_prime": config.get("s_prime", s), "eta_rule": eta_rule},
         None,
         outdir,
         fset=fset,

@@ -103,10 +103,10 @@ class PointCloud:
         return self.points.shape[0]
 
     @classmethod
-    def create(cls, points, k: int, dedupe: bool = True) -> "PointCloud":
+    def create(cls, points, k: int) -> "PointCloud":
         """Build a cloud, deduplicating at resolution delta/4 (first wins)."""
         cloud = cls(np.asarray(points, dtype=float), k)
-        if dedupe and len(cloud) > 1:
+        if len(cloud) > 1:
             step = cloud.delta / 4.0
             _, starts, order = _unique_runs(
                 _pack(np.floor(cloud.points / step).astype(np.int64))
@@ -174,15 +174,14 @@ def _cap(q: float, levels_below: int) -> int:
     return math.ceil(2.0 ** (q * levels_below))
 
 
-def extract_delta_q_set(
-    cloud: PointCloud, q: float, *, audit_trials: int = 256, seed: int = 0
-) -> DeltaQSet:
+def extract_delta_q_set(cloud: PointCloud, q: float) -> DeltaQSet:
     """Extract a delta-separated subset with q-dimensional non-concentration.
 
     Top-down dyadic selection: candidates are one representative per
     even-indexed delta-cube (even indices force delta-separation), each
     dyadic cube at level j keeps at most ceil(2^(q*(k-j))) points, and
-    budgets flow to children in order of surviving mass.
+    budgets flow to children in order of surviving mass.  The result's
+    non-concentration is audited with 256 seeded random centers.
     """
     if len(cloud) == 0:
         raise EmptyInput("cannot extract from an empty cloud")
@@ -248,7 +247,7 @@ def extract_delta_q_set(
         sel = reps[np.array(sorted(chosen), dtype=int)]
 
     out = DeltaQSet(PointCloud(sel, k), float(q), 0.0)
-    out.conc_measured = verify_non_concentration(out, audit_trials, seed=seed)
+    out.conc_measured = verify_non_concentration(out, 256)
     return out
 
 
@@ -500,7 +499,9 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
     Each greedy step sorts the uncovered points' keys of every level
     j = 0..floor(log2(1/r_min)) at once and picks the cell with the most
     uncovered points per (sqrt(dim) 2^-j)^s; ties go to the coarser level,
-    then to the lower cell key.
+    then to the lower cell key.  The loop stops once its running sum reaches
+    the enclosing ball's cost: a float sum of positive terms never falls, so
+    from then on the ball is the answer.
     """
     if isinstance(points, PointCloud):
         if r_min < points.delta:
@@ -519,10 +520,12 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
     cells = np.floor(np.ldexp(pts, np.arange(n_levels)[:, None, None])).astype(np.int64)
     keys = _pack(cells.reshape(-1, dim)).reshape(n_levels, n)
     w = np.array([(rootd * 2.0 ** (-j)) ** s for j in range(n_levels)])
+    center, rad = _enclosing_candidate(pts, r_min)
+    enc_sum = (2.0 * rad) ** s
     covered = np.zeros(n, dtype=bool)
     picks = []
     greedy_sum = 0.0
-    while not covered.all():
+    while greedy_sum < enc_sum and not covered.all():
         live = ~covered
         flat = np.sort(keys[:, live], axis=1).ravel()
         m = flat.size // n_levels
@@ -541,8 +544,6 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
         picks.append((tuple(cell), rootd * side / 2.0))
         greedy_sum += (rootd * side) ** s
         covered |= sel
-    center, rad = _enclosing_candidate(pts, r_min)
-    enc_sum = (2.0 * rad) ** s
     if enc_sum <= greedy_sum:
         return ContentEstimate(upper=enc_sum, cover=[(center, rad)])
     return ContentEstimate(upper=greedy_sum, cover=picks)

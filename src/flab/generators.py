@@ -56,8 +56,8 @@ class CantorSpec:
         return math.log(self.n) / math.log(self.m)
 
 
-def choose_cantor_base(dim: float, *, m_max: int = 16, slack: float = DIM_SLACK):
-    """Closest realizable (m, pattern) with log n / log m >= dim - slack.
+def choose_cantor_base(dim: float):
+    """Closest realizable (m <= 16, pattern): log n / log m >= dim - DIM_SLACK.
 
     Kept indices are spread across [0, m) with both endpoints retained, so
     sets at different levels stay well separated.  At least two are kept: a
@@ -68,10 +68,10 @@ def choose_cantor_base(dim: float, *, m_max: int = 16, slack: float = DIM_SLACK)
     if dim == 1.0:
         return 2, (0, 1)
     best = None
-    for m in range(2, m_max + 1):
+    for m in range(2, 17):
         for n in range(2, m + 1):
             real = math.log(n) / math.log(m)
-            if real < dim - slack or real > 1.0:
+            if real < dim - DIM_SLACK or real > 1.0:
                 continue
             key = (abs(real - dim), m, n)
             if best is None or key < best[0]:
@@ -123,6 +123,13 @@ def _json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _json_number(value, name: str) -> float:
+    """``value`` as a float when it is a JSON number (a bool is not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -179,8 +186,8 @@ class FurstenbergConfig:
                 tuple(_json_int(i, "cantor.pattern entry") for i in c["pattern"]),
             )
         return cls(
-            s=float(data["s"]),
-            t=float(data["t"]),
+            s=_json_number(data["s"], "s"),
+            t=_json_number(data["t"], "t"),
             k1=_json_int(data["k1"], "k1"),
             preset=str(data["preset"]),
             seed=_json_int(data["seed"], "seed"),
@@ -334,7 +341,7 @@ def assemble_furstenberg(config: FurstenbergConfig) -> DiscretizedFurstenbergSet
         circles.append(z)
         angular.append(angles)
         chunks.append(_circle_points(z, angles))
-    cloud = PointCloud.create(np.concatenate(chunks), config.k1, dedupe=True)
+    cloud = PointCloud.create(np.concatenate(chunks), config.k1)
     return DiscretizedFurstenbergSet(
         config=config,
         v=v,
@@ -403,4 +410,4 @@ def linear_furstenberg(s: float, k1: int, seed) -> PointCloud:
     # line j: tangent point (cos, sin) + t * (-sin, cos)
     xs = (cos_t[:, None] - ts[None, :] * sin_t[:, None]).ravel()
     ys = (sin_t[:, None] + ts[None, :] * cos_t[:, None]).ravel()
-    return PointCloud.create(np.column_stack([xs, ys]), k1, dedupe=True)
+    return PointCloud.create(np.column_stack([xs, ys]), k1)

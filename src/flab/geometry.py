@@ -186,14 +186,15 @@ def pairwise_rectangle(A, B, a: float, c: float) -> SeparatedRectangle:
     )
 
 
-def sample_two_annulus_points(A, B, a: float, n: int, rng, b_range=(_B_LO, _B_HI)):
+def sample_two_annulus_points(A, B, a: float, n: int, rng):
     """Draw up to ``n`` points of union over b of S^a(A,b) cap S^a(B,b).
 
-    Sampling is closed-form: draw b, then a radius around A in [b-a, b+a],
-    then an angle inside the window where the distance-to-B constraint holds.
-    Every returned point is verified against both annuli; draws whose window
-    is empty are retried.  Returns (points, b_values); fewer than n rows come
-    back only if the intersection is empty for every sampled b.
+    Sampling is closed-form: draw b in [1/2, 2], then a radius around A in
+    [b-a, b+a], then an angle inside the window where the distance-to-B
+    constraint holds.  Every returned point is verified against both annuli;
+    draws whose window is empty are retried.  Returns (points, b_values);
+    fewer than n rows come back only if the intersection is empty for every
+    sampled b.
     """
     A, B = _as_point(A), _as_point(B)
     D = float(np.hypot(*(B - A)))
@@ -204,7 +205,7 @@ def sample_two_annulus_points(A, B, a: float, n: int, rng, b_range=(_B_LO, _B_HI
     while out.shape[0] < n and rounds < 64:
         rounds += 1
         m = 2 * (n - out.shape[0]) + 16
-        b = rng.uniform(b_range[0], b_range[1], m)
+        b = rng.uniform(_B_LO, _B_HI, m)
         r = rng.uniform(b - a, b + a)
         with np.errstate(divide="ignore", invalid="ignore"):
             lo = np.maximum((r * r + D * D - (b + a) ** 2) / (2.0 * r * D), -1.0)

@@ -186,8 +186,6 @@ def _content_reaches(
     window over the sorted angles.
     """
     n = pts.shape[0]
-    if n == 0:
-        raise EmptyInput("no points")
     rel = pts - np.array(z.center)
     rho_min = float(np.hypot(rel[:, 0], rel[:, 1]).min())
     theta = np.sort(circle_angles(z, pts))
@@ -217,54 +215,47 @@ def _require_content(
     circle z's cloud reaches eta; the answer is decided, not estimated.
 
     A subset's content bounds the set's from below, so a decimated check is
-    valid; fall back to the full cloud if it is shy.
+    valid; when it is shy the full cloud decides, unless the subset was the
+    full cloud already.
     """
     stride = max(1, -(-pts.shape[0] // 1024))
     if _content_reaches(z, pts[::stride], s_prime, delta, eta):
         return
-    if not _content_reaches(z, pts, s_prime, delta, eta):
-        lower = content_lower(pts, s_prime, delta)
-        raise InsufficientContent(
-            f"content lower estimate {lower:.4g} below eta {eta:.4g}"
-        )
+    if stride > 1 and _content_reaches(z, pts, s_prime, delta, eta):
+        return
+    lower = content_lower(pts, s_prime, delta)
+    raise InsufficientContent(f"content lower estimate {lower:.4g} below eta {eta:.4g}")
 
 
-def auto_eta(z: CircleParam, pts: np.ndarray, s_prime: float, delta: float, k1: int) -> float:
-    """Discretization-aware content threshold.
+def auto_eta(s_prime: float, delta: float, k1: int) -> float:
+    """Discretization-aware content threshold max(k1^-2, 16 (2 delta)^s').
 
     Takes the classical (log 1/delta)^-2 = k1^-2 when the induced arc length
-    gamma stays >= 2*delta, else raises eta just enough; fails when the
-    circle's measured content cannot support that.
+    gamma stays >= 2*delta, else raises eta just enough; fails when that
+    pushes eta above 1.  Whether a circle's content reaches it is decided by
+    extract_three_arcs.
     """
     eta = max(1.0 / (k1 * k1), 16.0 * (2.0 * delta) ** s_prime)
     if eta > 1.0 + 1e-12:
         raise InsufficientContent("resolution too coarse for this exponent")
-    _require_content(z, pts, s_prime, delta, eta)
     return eta
 
 
 def extract_three_arcs(
-    z: CircleParam,
-    pts: np.ndarray,
-    s_prime: float,
-    eta: float,
-    *,
-    delta: float,
-    content_check: bool = True,
+    z: CircleParam, pts: np.ndarray, s_prime: float, eta: float, *, delta: float
 ) -> ArcTriple:
     """Scan arcs of length gamma = (eta/16)^(1/s') and cut out three
     separated groups whose cumulative per-arc content reaches eta/8.
 
-    ``content_check=False`` skips the precondition re-check for callers that
-    derived eta from the same cloud (e.g. via auto_eta).
+    The one place that decides the precondition: the circle's content lower
+    estimate must reach eta (_require_content), else InsufficientContent.
     """
     if not (0.0 < eta <= 1.0):
         raise InsufficientContent("need 0 < eta <= 1")
     pts = np.asarray(pts, dtype=float)
     if pts.shape[0] == 0:
         raise InsufficientContent("empty circle cloud")
-    if content_check:
-        _require_content(z, pts, s_prime, delta, eta)
+    _require_content(z, pts, s_prime, delta, eta)
     r = z.radius
     gamma = (eta / 16.0) ** (1.0 / s_prime)
     assert gamma <= 1.0 / 16.0 + 1e-12
@@ -505,14 +496,7 @@ class ThresholdParams:
 
     @classmethod
     def from_exponents(
-        cls,
-        s_prime: float,
-        t_prime: float,
-        epsilon: float,
-        k1: int,
-        *,
-        c0: float = C0_DEFAULT,
-        big_c: float = 1.0,
+        cls, s_prime: float, t_prime: float, epsilon: float, k1: int, *, c0: float = C0_DEFAULT
     ) -> "ThresholdParams":
         if not (0.5 < s_prime <= 1.0):
             raise ValueError("threshold route needs 1/2 < s' <= 1")
@@ -522,7 +506,7 @@ class ThresholdParams:
             raise ValueError("need c0 > 0")
         delta = 2.0 ** (-k1)
         eta = min(epsilon / (2.0 * t_prime), (2.0 * s_prime - 1.0) / 2.0)
-        a_param = big_c * delta ** (-eta)
+        a_param = delta ** (-eta)
         lam = delta ** (1.0 - s_prime) / (2.0 * c0 * 4.0 ** s_prime * k1 * k1)
         threshold = a_param ** t_prime * lam ** (-2.0 * t_prime) * delta ** t_prime
         if not (0.0 < lam <= 1.0):

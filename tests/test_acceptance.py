@@ -219,10 +219,8 @@ def arc_instances(cfg, s_prime):
     for z, ang in zip(fs.circles, fs.angular):
         pts = circle_points(z, ang)
         try:
-            eta = inc.auto_eta(z, pts, s_prime, cfg.delta, cfg.k1)
-            tri = inc.extract_three_arcs(
-                z, pts, s_prime, eta, delta=cfg.delta, content_check=False
-            )
+            eta = inc.auto_eta(s_prime, cfg.delta, cfg.k1)
+            tri = inc.extract_three_arcs(z, pts, s_prime, eta, delta=cfg.delta)
         except InsufficientContent:
             tri = None
         data.append((tri, pts))
@@ -385,10 +383,8 @@ def test_criterion_6_arc_extraction_bracket():
             th = full[m1 | m2 | bg]
         pts = circle_points(z, th)
         try:
-            eta = inc.auto_eta(z, pts, s_prime, delta, k1)
-            tri = inc.extract_three_arcs(
-                z, pts, s_prime, eta, delta=delta, content_check=False
-            )
+            eta = inc.auto_eta(s_prime, delta, k1)
+            tri = inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
         except InsufficientContent:
             fails += 1
             continue

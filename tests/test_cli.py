@@ -1,11 +1,13 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from flab import cli
 from flab import fractal as fr
+from flab import generators as gen
 from flab import geometry as geo
 from flab import incidence as inc
 from flab.errors import DegenerateTriangle
@@ -87,6 +89,43 @@ def test_non_integer_field_exit2(field, tmp_path):
     command, config = NON_INTEGER_FIELDS[field]
     fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
     fr.save_csv(fr.PointCloud(np.array([[0.1, 0.2]]), 6), tmp_path / "cloud.csv")
+    cfg = write_json(tmp_path / "c.json", config(tmp_path))
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+# (command, config under a directory holding v.csv and cloud.csv), one per
+# float field; each value would convert to a valid float
+TRIPLES_CFG = {"generator": {**GEN_CFG, "k1": 6}, "s_prime": 1.0}
+NON_NUMBER_FIELDS = {
+    "s": ("gen", lambda d: {**GEN_CFG, "s": "1.0"}),
+    "t": ("gen", lambda d: {**GEN_CFG, "t": True}),
+    "s_prime": ("triples", lambda d: {**TRIPLES_CFG, "s_prime": "1.0"}),
+    "boxdim-s": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"), "k_range": [4, 5, 6],
+                                      "s": "1", "t": 1.0}),
+    "boxdim-t": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"), "k_range": [4, 5, 6],
+                                      "s": 1.0, "t": "1"}),
+    "multiplicity-s_prime": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "s_prime": "0.8"}),
+    "t_prime": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "t_prime": "0.5"}),
+    "epsilon": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "epsilon": True}),
+    "c0": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "c0": "4.0"}),
+    "eta_rule-above-1": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": 1.5}),
+    "eta_rule-negative": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": -0.2}),
+    "eta_rule-zero": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": 0}),
+    "eta_rule-nan": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": float("nan")}),
+    "eta_rule-bool": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": True}),
+    "eta_rule-string": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": "0.75"}),
+    "eta_rule-name": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": "Auto"}),
+    "report-eta_rule": ("report", lambda d: {"generator": GEN_CFG, "eta_rule": 2}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_NUMBER_FIELDS))
+def test_non_number_field_exit2(field, tmp_path, monkeypatch):
+    # triples and report check their fields before they build the set
+    monkeypatch.setattr(gen, "assemble_furstenberg", mock.Mock(side_effect=AssertionError))
+    command, config = NON_NUMBER_FIELDS[field]
+    fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
+    fr.save_csv(fr.PointCloud(np.array([[0.1, 0.2], [0.7, 0.4]]), 6), tmp_path / "cloud.csv")
     cfg = write_json(tmp_path / "c.json", config(tmp_path))
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
 

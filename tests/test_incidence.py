@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flab import cli
 from flab import fractal as fr
 from flab import generators as gen
 from flab import incidence as inc
@@ -133,7 +134,7 @@ class TestExtractThreeArcs:
         d = 2.0 ** (-k)
         z = CircleParam((0.0, 0.0), 1.0)
         pts = uniform_circle(z, k)
-        eta = inc.auto_eta(z, pts, 1.0, d, k)
+        eta = inc.auto_eta(1.0, d, k)
         tri = inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
         # prefix-sum oracle: per-arc contents recomputed directly, then the
         # same three scans replayed
@@ -173,7 +174,7 @@ class TestExtractThreeArcs:
         pts = uniform_circle(z, k)
         theta = inc.circle_angles(z, pts)
         half = pts[theta < math.pi]
-        eta = inc.auto_eta(z, half, 1.0, d, k)
+        eta = inc.auto_eta(1.0, d, k)
         tri = inc.extract_three_arcs(z, half, 1.0, eta, delta=d)
         # all three arcs end inside the populated half (plus one arc slack)
         for lo, hi in tri.intervals:
@@ -185,7 +186,7 @@ class TestExtractThreeArcs:
         d = 2.0 ** (-k)
         z = CircleParam((0.0, 0.0), 0.5)
         pts = uniform_circle(z, k)
-        eta = inc.auto_eta(z, pts, 1.0, d, k)
+        eta = inc.auto_eta(1.0, d, k)
         gamma = (eta / 16.0) ** 1.0
         assert gamma <= 1.0 / 16.0
         assert math.ceil(2 * math.pi * z.radius / gamma) >= 16
@@ -201,7 +202,7 @@ class TestExtractThreeArcs:
                 z, 0.8 if s_prime < 1 else 1.0, d, int(rng.integers(1 << 31))
             )
             pts = circle_points(z, ang)
-            eta = inc.auto_eta(z, pts, s_prime, d, k)
+            eta = inc.auto_eta(s_prime, d, k)
             tri = inc.extract_three_arcs(z, pts, s_prime, eta, delta=d)
             tol = tri.gamma ** s_prime
             for c in tri.contents:
@@ -272,13 +273,34 @@ class TestContentDecision:
             inc._require_content(z, pts, 1.0, d, eta)
         assert str(err.value) == f"content lower estimate {lower:.4g} below eta {eta:.4g}"
 
+    def test_failing_small_circle_is_decided_once(self):
+        # n <= 1024 makes the strided subset the full cloud itself
+        k = 8
+        d = 2.0 ** (-k)
+        z = CircleParam((0.1, -0.05), 0.8)
+        pts = circle_points(z, np.linspace(0.0, 1.0, 300))
+        eta = 2.0 * fr.content_lower(pts, 1.0, d)
+        with mock.patch.object(inc, "_content_reaches", wraps=inc._content_reaches) as spy:
+            with pytest.raises(InsufficientContent):
+                inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("eta_rule", ["auto", 0.75])
+    def test_arc_data_decides_once_per_circle(self, eta_rule):
+        fs = gen.assemble_furstenberg(
+            FurstenbergConfig(s=1.0, t=1.0, k1=6, preset="concentric", seed=0)
+        )
+        with mock.patch.object(inc, "_content_reaches", wraps=inc._content_reaches) as spy:
+            cli._arc_data(fs, 1.0, eta_rule)
+        assert spy.call_count == len(fs.circles)
+
     def test_passing_circle_never_computes_the_estimate(self):
         k = 8
         d = 2.0 ** (-k)
         z = CircleParam((0.0, 0.0), 1.0)
         pts = uniform_circle(z, k)
         with mock.patch.object(inc, "content_lower", side_effect=AssertionError):
-            eta = inc.auto_eta(z, pts, 1.0, d, k)
+            eta = inc.auto_eta(1.0, d, k)
             inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
 
 
@@ -341,8 +363,8 @@ class TestTripleIndex:
         data = []
         for z, ang in zip(fs.circles[:24], fs.angular[:24]):
             pts = circle_points(z, ang)
-            eta = inc.auto_eta(z, pts, 1.0, d, cfg.k1)
-            tri = inc.extract_three_arcs(z, pts, 1.0, eta, delta=d, content_check=False)
+            eta = inc.auto_eta(1.0, d, cfg.k1)
+            tri = inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
             data.append((tri, pts))
         grid = inc.box_count(fs.cloud, cfg.k1)
         ti = inc.build_triple_index(data, grid)
@@ -365,8 +387,8 @@ class TestTripleIndex:
         data = []
         for z, ang in zip(fs.circles, fs.angular):
             pts = circle_points(z, ang)
-            eta = inc.auto_eta(z, pts, 1.0, d, cfg.k1)
-            tri = inc.extract_three_arcs(z, pts, 1.0, eta, delta=d, content_check=False)
+            eta = inc.auto_eta(1.0, d, cfg.k1)
+            tri = inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
             data.append((tri, pts))
         grid = inc.box_count(fs.cloud, cfg.k1)
         ti = inc.build_triple_index(data, grid)
