@@ -329,12 +329,10 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
     t_prime = gen._json_number(config.get("t_prime", 0.5), "t_prime")
     epsilon = gen._json_number(config.get("epsilon", 0.1), "epsilon")
     c0 = gen._json_number(config.get("c0", inc.C0_DEFAULT), "c0")
+    params = inc.ThresholdParams.from_exponents(s_prime, t_prime, epsilon, k1, c0=c0)
     delta = 2.0 ** (-k1)
     mu = fr.frostman_measure(v).scaled(1.0 / (k1 * k1))
     field = inc.multiplicity_field(mu, delta, grid_k)
-    params = inc.ThresholdParams.from_exponents(
-        s_prime, t_prime, epsilon, k1, c0=c0
-    )
     write_cells_m(os.path.join(outdir, "cells_m.csv"), field)
     ratio_rows = []
     for idx in range(len(v)):
@@ -379,6 +377,14 @@ def cmd_report(config: dict, seed, outdir: str) -> dict:
     if not gen_cfg:
         raise ValueError("report config needs a `generator` object")
     eta_rule = _eta_rule(config.get("eta_rule", "auto"))
+    # type-check the later stages' fields before any stage writes a file
+    for name in ("s_prime", "t_prime", "epsilon"):
+        if name in config:
+            gen._json_number(config[name], name)
+    if "grid_k" in config:
+        gen._json_int(config["grid_k"], "grid_k")
+    for entry in config.get("k_range", ()):
+        gen._json_int(entry, "k_range entry")
     walls = {}
     t0 = time.perf_counter()
     fset, gen_summary = cmd_gen(gen_cfg, seed, outdir)

@@ -170,81 +170,54 @@ class DeltaQSet:
     conc_measured: float
 
 
-def _cap(q: float, levels_below: int) -> int:
-    return math.ceil(2.0 ** (q * levels_below))
-
-
 def extract_delta_q_set(cloud: PointCloud, q: float) -> DeltaQSet:
     """Extract a delta-separated subset with q-dimensional non-concentration.
 
-    Top-down dyadic selection: candidates are one representative per
-    even-indexed delta-cube (even indices force delta-separation), each
-    dyadic cube at level j keeps at most ceil(2^(q*(k-j))) points, and
-    budgets flow to children in order of surviving mass.  The result's
-    non-concentration is audited with 256 seeded random centers.
+    Candidates are one representative per even-indexed delta-cube (even
+    indices force delta-separation).  A dyadic cube at level j keeps at most
+    cap = ceil(2^(q*(k-j))) points: a child gets its parent's budget less the
+    capped rooms min(cap, room) of its earlier siblings (by mass, then key),
+    clipped to [0, its own]; room is 1 at level k and the sum of the
+    children's capped rooms above.  Audited with 256 seeded random centers.
     """
     if len(cloud) == 0:
         raise EmptyInput("cannot extract from an empty cloud")
     k = cloud.k
-    delta = cloud.delta
     pts = cloud.points
-    idx = np.floor(pts / delta).astype(np.int64)
+    idx = np.floor(pts / cloud.delta).astype(np.int64)
     even = np.all(idx % 2 == 0, axis=1)
     if not np.any(even):
         # Fall back to a single point; a one-point set is vacuously a
         # (delta, q)-set.
         sel = pts[:1]
     else:
-        pts_e = pts[even]
-        idx_e = idx[even]
+        pts_e, idx_e = pts[even], idx[even]
         # First point of each cube in lexicographic point order.
         order = np.lexsort(tuple(pts_e[:, d] for d in reversed(range(pts_e.shape[1]))))
         _, starts, by_key = _unique_runs(_pack(idx_e)[order])
         first = order[by_key[starts]]
-        reps = pts_e[first]
-        rep_idx = idx_e[first]
-
-        # children[level j][cube] -> list of level-(j+1) sub-cubes; counts of
-        # surviving candidates drive the greedy budget flow.
-        counts = {k: {}}
-        cubes = [tuple(r) for r in rep_idx]
-        rep_of = dict(zip(cubes, range(len(cubes))))
-        for c in cubes:
-            counts[k][c] = 1
+        reps, rep_idx = pts_e[first], idx_e[first]
+        # Per level j, cube ids in key order: each cube's representative count
+        # and its parent at level j - 1, then (going up) its capped room.
+        count, parent, cube_of = [], [], []
+        for j in range(k + 1):
+            _, starts, by_key = _unique_runs(_pack(rep_idx >> (k - j)))
+            count.append(np.diff(starts, append=len(reps)))
+            cube_of.append(np.empty_like(by_key))
+            cube_of[j][by_key] = np.repeat(np.arange(len(starts)), count[j])
+            parent.append(cube_of[j - 1][by_key[starts]] if j else None)
+        capped = [None] * k + [np.ones(len(reps), dtype=np.int64)]
         for j in range(k - 1, -1, -1):
-            counts[j] = {}
-            for cube, cnt in counts[j + 1].items():
-                parent = tuple(v >> 1 for v in cube)
-                counts[j][parent] = counts[j].get(parent, 0) + cnt
-        children = {j: {} for j in range(k)}
+            room = np.bincount(parent[j + 1], capped[j + 1], len(count[j])).astype(np.int64)
+            capped[j] = np.minimum(room, min(math.ceil(2.0 ** (q * (k - j))), len(reps)))
+        budget = capped[0]
         for j in range(1, k + 1):
-            for cube in counts[j]:
-                parent = tuple(v >> 1 for v in cube)
-                children[j - 1].setdefault(parent, []).append(cube)
-
-        chosen = []
-
-        def allocate(cube, level, budget):
-            if budget <= 0:
-                return 0
-            if level == k:
-                chosen.append(rep_of[cube])
-                return 1
-            got = 0
-            kids = sorted(
-                children[level].get(cube, []),
-                key=lambda c: (-counts[level + 1][c], c),
-            )
-            cap_child = _cap(q, k - level - 1)
-            for kid in kids:
-                if got >= budget:
-                    break
-                got += allocate(kid, level + 1, min(cap_child, budget - got))
-            return got
-
-        for root in sorted(counts[0]):
-            allocate(root, 0, _cap(q, k))
-        sel = reps[np.array(sorted(chosen), dtype=int)]
+            sib = np.lexsort((-count[j], parent[j]))
+            c, p = capped[j][sib], parent[j][sib]
+            before = np.cumsum(c) - c
+            before -= np.maximum.accumulate(np.where(np.r_[True, p[1:] != p[:-1]], before, 0))
+            budget = np.clip(budget[p] - before, 0, c)[np.argsort(sib)]
+        sel = reps[budget > 0]
 
     out = DeltaQSet(PointCloud(sel, k), float(q), 0.0)
     out.conc_measured = verify_non_concentration(out, 256)

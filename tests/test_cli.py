@@ -94,11 +94,13 @@ def test_non_integer_field_exit2(field, tmp_path):
 
 
 # (command, config under a directory holding v.csv and cloud.csv), one per
-# float field; each value would convert to a valid float
+# float field; each value but the oversized integers would convert to a
+# valid float, and those would raise OverflowError in float()
 TRIPLES_CFG = {"generator": {**GEN_CFG, "k1": 6}, "s_prime": 1.0}
 NON_NUMBER_FIELDS = {
     "s": ("gen", lambda d: {**GEN_CFG, "s": "1.0"}),
     "t": ("gen", lambda d: {**GEN_CFG, "t": True}),
+    "s-oversized": ("gen", lambda d: {**GEN_CFG, "s": 10**400}),
     "s_prime": ("triples", lambda d: {**TRIPLES_CFG, "s_prime": "1.0"}),
     "boxdim-s": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"), "k_range": [4, 5, 6],
                                       "s": "1", "t": 1.0}),
@@ -108,6 +110,7 @@ NON_NUMBER_FIELDS = {
     "t_prime": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "t_prime": "0.5"}),
     "epsilon": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "epsilon": True}),
     "c0": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "c0": "4.0"}),
+    "c0-oversized": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "c0": 10**400}),
     "eta_rule-above-1": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": 1.5}),
     "eta_rule-negative": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": -0.2}),
     "eta_rule-zero": ("triples", lambda d: {**TRIPLES_CFG, "eta_rule": 0}),
@@ -128,6 +131,26 @@ def test_non_number_field_exit2(field, tmp_path, monkeypatch):
     fr.save_csv(fr.PointCloud(np.array([[0.1, 0.2], [0.7, 0.4]]), 6), tmp_path / "cloud.csv")
     cfg = write_json(tmp_path / "c.json", config(tmp_path))
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+# report type-checks the fields of its later stages before gen writes a file
+REPORT_STAGE_FIELDS = {
+    "s_prime": "0.9",
+    "t_prime": True,
+    "epsilon": "0.1",
+    "grid_k": 6.5,
+    "k_range": [4, 5.5],
+}
+
+
+@pytest.mark.parametrize("field", sorted(REPORT_STAGE_FIELDS))
+def test_report_stage_field_exit2_before_writing(field, tmp_path, monkeypatch):
+    monkeypatch.setattr(gen, "assemble_furstenberg", mock.Mock(side_effect=AssertionError))
+    config = {"generator": REPORT_CFG, field: REPORT_STAGE_FIELDS[field]}
+    cfg = write_json(tmp_path / "r.json", config)
+    out = tmp_path / "o"
+    assert run(["report", "--config", cfg, "--out", out]) == 2
+    assert os.listdir(out) == []
 
 
 # open() takes an int as a file descriptor; this one is not open
@@ -278,6 +301,14 @@ class TestMultiplicity:
     def test_c0_not_positive_exit2(self, c0, tmp_path):
         fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
         cfg = write_json(tmp_path / "m.json", {"v": str(tmp_path / "v.csv"), "c0": c0})
+        assert run(["multiplicity", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    # the threshold parameters are checked before the field is built
+    @pytest.mark.parametrize("field,value", [("s_prime", 0.5), ("t_prime", 5.0), ("epsilon", 0.0)])
+    def test_threshold_rejected_before_field(self, field, value, tmp_path, monkeypatch):
+        monkeypatch.setattr(inc, "multiplicity_field", mock.Mock(side_effect=AssertionError))
+        fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
+        cfg = write_json(tmp_path / "m.json", {"v": str(tmp_path / "v.csv"), field: value})
         assert run(["multiplicity", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])

@@ -81,6 +81,71 @@ def greedy_oracle(pts, s, r_min):
     return greedy_sum, picks
 
 
+def delta_q_oracle(cloud, q):
+    """extract_delta_q_set's selection as a recursive allocator over dicts keyed
+    by index tuples: each cube passes min(cap, budget left) to its children in
+    order of (-count, key) and stops once its budget is spent."""
+    k = cloud.k
+    pts = cloud.points
+    idx = np.floor(pts / cloud.delta).astype(np.int64)
+    even = np.all(idx % 2 == 0, axis=1)
+    if not np.any(even):
+        return pts[:1]
+    pts_e, idx_e = pts[even], idx[even]
+    order = np.lexsort(tuple(pts_e[:, d] for d in reversed(range(pts_e.shape[1]))))
+    _, starts, by_key = fr._unique_runs(fr._pack(idx_e)[order])
+    first = order[by_key[starts]]
+    reps, rep_idx = pts_e[first], idx_e[first]
+    cubes = [tuple(r) for r in rep_idx.tolist()]
+    rep_of = dict(zip(cubes, range(len(cubes))))
+    counts = {k: dict.fromkeys(cubes, 1)}
+    for j in range(k - 1, -1, -1):
+        counts[j] = {}
+        for cube, cnt in counts[j + 1].items():
+            parent = tuple(v >> 1 for v in cube)
+            counts[j][parent] = counts[j].get(parent, 0) + cnt
+    children = {j: {} for j in range(k)}
+    for j in range(1, k + 1):
+        for cube in counts[j]:
+            children[j - 1].setdefault(tuple(v >> 1 for v in cube), []).append(cube)
+    chosen = []
+
+    def allocate(cube, level, budget):
+        if budget <= 0:
+            return 0
+        if level == k:
+            chosen.append(rep_of[cube])
+            return 1
+        got = 0
+        kids = sorted(children[level].get(cube, []), key=lambda c: (-counts[level + 1][c], c))
+        cap_child = math.ceil(2.0 ** (q * (k - level - 1)))
+        for kid in kids:
+            if got >= budget:
+                break
+            got += allocate(kid, level + 1, min(cap_child, budget - got))
+        return got
+
+    for root in sorted(counts[0]):
+        allocate(root, 0, math.ceil(2.0 ** (q * k)))
+    return reps[np.array(sorted(chosen), dtype=int)]
+
+
+def dyadic_clouds(dim_k):
+    """n uniform points of the half-delta lattice in [-2^m, 2^m)^dim
+    half-deltas, delta = 2^-k, for a drawn spread m and seed: several points
+    share a delta-cube, even and odd cubes mix, negative coordinates occur,
+    and a small spread packs enough points into each coarse cube that caps
+    bind and siblings differ in count."""
+    dim, k = dim_k
+    return st.tuples(st.integers(1, k + 2), st.integers(1, 200), st.integers(0, 2**32 - 1)).map(
+        lambda a: fr.PointCloud(
+            np.random.default_rng(a[2]).integers(-(1 << a[0]), 1 << a[0], (a[1], dim))
+            / (1 << (k + 1)),
+            k,
+        )
+    )
+
+
 def lattice_sets(dim):
     """Clusters 4 apart of points on a small lattice: runs tie across levels
     and keys, and the dyadic cover often beats the one enclosing ball."""
@@ -185,6 +250,21 @@ class TestExtraction:
         ds = fr.extract_delta_q_set(cloud, 1.5)
         src = {tuple(p) for p in cloud.points}
         assert all(tuple(p) in src for p in ds.cloud.points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.sampled_from([2, 3]), st.integers(1, 7)).flatmap(dyadic_clouds),
+        st.one_of(
+            st.sampled_from([0.1, 0.5, 1.0, 1.5, 2.0, 3.0]),
+            st.floats(0.1, 3.0, allow_subnormal=False),
+        ),
+    )
+    def test_selection_matches_recursive_oracle(self, cloud, q):
+        ds = fr.extract_delta_q_set(cloud, q)
+        sel = delta_q_oracle(cloud, q)
+        assert np.array_equal(ds.cloud.points, sel)
+        ref = fr.DeltaQSet(fr.PointCloud(sel, cloud.k), q, 0.0)
+        assert ds.conc_measured == fr.verify_non_concentration(ref, 256)
 
     def test_remark_sandwich_in_reference_box(self):
         # 3-d grid inside the reference parameter box
