@@ -15,7 +15,7 @@ for s, t, k1 in ((1.0, 1.0, 10), (0.5, 0.5, 11), (0.8, 0.5, 11)):
         box_counts_streaming([fset.cloud.points], range(5, k1 + 1)).items()
     )
     slope = dimension_slope(counts)
-    rs, rt = fset.realized_s, fset.realized_t
+    rs, rt = cfg.realized_s, cfg.realized_t
     bound = max(rt / 3.0 + rs, (2.0 * rs - 1.0) * rt + rs)
     verdict = "consistent" if slope >= bound - 0.15 else "INCONSISTENT"
     print(f"(s, t) target ({s}, {t}) -> realized ({rs:.4f}, {rt:.4f}), delta = 2^-{k1}")

@@ -13,8 +13,10 @@ command with identical inputs and seed reproduces the data files byte for
 byte; the only exception is the wall_times block of `report`.
 
 Exit codes: 0 success, 2 config parse/shape error (a non-integer integer
-field or a non-number float field included), 3 invariant violation or any
-other library error, 4 missing input file, 5 experiment degeneracy.
+field or a non-number float field included; every command, and `report` for
+every stage, checks its fields before it writes, so --out stays empty),
+3 invariant violation or any other library error, 4 missing input file,
+5 experiment degeneracy.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValueError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):
@@ -70,13 +70,19 @@ def _write_summary(outdir: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _generator_config(data: dict, seed_override) -> gen.FurstenbergConfig:
+def _generator_config(data, seed_override) -> gen.FurstenbergConfig:
+    if not isinstance(data, dict):
+        raise ValueError("config needs a `generator` object")
     if seed_override is not None:
         data = {**data, "seed": int(seed_override)}
-    try:
-        return gen.FurstenbergConfig.from_json_dict(data)
-    except (TypeError, KeyError) as e:
-        raise ValueError(str(e)) from e
+    return gen.FurstenbergConfig.from_json_dict(data)
+
+
+def _path(config: dict, name: str, command: str) -> str:
+    """config[name] when it is a nonempty string, else ValueError."""
+    if not (config.get(name) and isinstance(config[name], str)):
+        raise ValueError(f"{command} config needs a `{name}` path")
+    return config[name]
 
 
 def cmd_gen(config: dict, seed, outdir: str):
@@ -89,8 +95,8 @@ def cmd_gen(config: dict, seed, outdir: str):
         "gen: %d circles, %d cloud points (realized s=%.4f t=%.4f)",
         len(fset.circles),
         len(fset.cloud),
-        fset.realized_s,
-        fset.realized_t,
+        cfg.realized_s,
+        cfg.realized_t,
     )
     return fset, {
         "command": "gen",
@@ -102,24 +108,29 @@ def cmd_gen(config: dict, seed, outdir: str):
             "seed": cfg.seed,
             "cantor": list(cfg.cantor) if cfg.cantor else None,
         },
-        "realized_s": fset.realized_s,
-        "realized_t": fset.realized_t,
+        "realized_s": cfg.realized_s,
+        "realized_t": cfg.realized_t,
         "n_circles": len(fset.circles),
         "n_points": len(fset.cloud),
         "conc_measured": fset.v.conc_measured,
     }
 
 
+def _boxdim_fields(config: dict):
+    """(k_range, s, t) of a boxdim config; s and t are None unless both are given."""
+    if not config.get("k_range"):
+        raise ValueError("boxdim config needs `k_range`")
+    k_range = [gen._json_int(k, "k_range entry") for k in config["k_range"]]
+    if "s" in config and "t" in config:
+        return k_range, gen._json_number(config["s"], "s"), gen._json_number(config["t"], "t")
+    return k_range, None, None
+
+
 def cmd_boxdim(config: dict, seed, outdir: str, cloud: fr.PointCloud = None) -> dict:
     """Box counts of `cloud`; without one, of the file config["cloud"]."""
-    if cloud is None and not (config.get("cloud") and isinstance(config["cloud"], str)):
-        raise ValueError("boxdim config needs a `cloud` path")
-    k_range = config.get("k_range")
-    if not k_range:
-        raise ValueError("boxdim config needs `k_range`")
-    k_range = [gen._json_int(k, "k_range entry") for k in k_range]
+    k_range, s, t = _boxdim_fields(config)
     if cloud is None:
-        cloud = fr.load_csv(config["cloud"])
+        cloud = fr.load_csv(_path(config, "cloud", "boxdim"))
     if len(cloud) == 0:
         raise EmptyInput("cloud file has no points")
     counts = inc.box_counts_streaming([cloud.points], k_range)
@@ -127,8 +138,7 @@ def cmd_boxdim(config: dict, seed, outdir: str, cloud: fr.PointCloud = None) -> 
     fr.write_csv(os.path.join(outdir, "boxdim.csv"), "k,N", pairs)
     slope = inc.dimension_slope(pairs)
     out = {"command": "boxdim", "counts": {str(k): n for k, n in pairs}, "slope": slope}
-    if "s" in config and "t" in config:
-        s, t = gen._json_number(config["s"], "s"), gen._json_number(config["t"], "t")
+    if s is not None:
         bound = max(t / 3.0 + s, (2.0 * s - 1.0) * t + s)
         out["bound"] = bound
         out["slope_minus_bound"] = slope - bound
@@ -204,11 +214,16 @@ def cmd_lemma3c(config: dict, seed, outdir: str) -> dict:
     }
 
 
-def _eta_rule(value):
-    """``value`` when it is "auto", "paper" or a JSON number in (0, 1], else ValueError."""
-    if value not in ("auto", "paper") and not 0.0 < gen._json_number(value, "eta_rule") <= 1.0:
-        raise ValueError(f"eta_rule must lie in (0, 1], got {value!r}")
-    return value
+def _triples_fields(config: dict):
+    """(s_prime, eta_rule) of a triples config; eta_rule is "auto", "paper" or a
+    number in (0, 1]."""
+    s_prime = gen._json_number(config.get("s_prime", 0.0), "s_prime")
+    if not (0.0 < s_prime <= 1.0):
+        raise ValueError("triples config needs s_prime in (0, 1]")
+    rule = config.get("eta_rule", "auto")
+    if rule not in ("auto", "paper") and not 0.0 < gen._json_number(rule, "eta_rule") <= 1.0:
+        raise ValueError(f"eta_rule must lie in (0, 1], got {rule!r}")
+    return s_prime, rule
 
 
 def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
@@ -243,14 +258,9 @@ def cmd_triples(
     config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet = None
 ) -> dict:
     """Arc triples of `fset`; without one, of the set config["generator"] builds."""
-    if fset is None and not config.get("generator"):
-        raise ValueError("triples config needs a `generator` object")
-    s_prime = gen._json_number(config.get("s_prime", 0.0), "s_prime")
-    if not (0.0 < s_prime <= 1.0):
-        raise ValueError("triples config needs s_prime in (0, 1]")
-    eta_rule = _eta_rule(config.get("eta_rule", "auto"))
+    s_prime, eta_rule = _triples_fields(config)
     if fset is None:
-        fset = gen.assemble_furstenberg(_generator_config(config["generator"], seed))
+        fset = gen.assemble_furstenberg(_generator_config(config.get("generator"), seed))
     cfg = fset.config
     data, failures, per_z_rows = _arc_data(fset, s_prime, eta_rule)
     fr.write_csv(
@@ -312,24 +322,27 @@ def write_cells_m(path, field: inc.MultiplicityField) -> None:
     fr.write_csv(path, "ix,iy,m", zip(*field.cells.T.tolist(), m_text))
 
 
-def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -> dict:
-    """Multiplicity field of the circle family `v`; without one, of the file
-    config["v"]."""
-    if v is None:
-        if not (config.get("v") and isinstance(config["v"], str)):
-            raise ValueError("multiplicity config needs a `v` path")
-        v = fr.load_csv(config["v"])
-    if len(v) == 0:
-        raise EmptyInput("parameter file has no circles")
-    if v.dim != 3:
-        raise ConfigInvalid("v must be a 3-column (center, radius) cloud")
-    k1 = v.k
+def _multiplicity_fields(config: dict, k1: int):
+    """(grid_k, ThresholdParams at scale k1) of a multiplicity config."""
     grid_k = gen._json_int(config.get("grid_k", k1), "grid_k")
     s_prime = gen._json_number(config.get("s_prime", 0.75), "s_prime")
     t_prime = gen._json_number(config.get("t_prime", 0.5), "t_prime")
     epsilon = gen._json_number(config.get("epsilon", 0.1), "epsilon")
     c0 = gen._json_number(config.get("c0", inc.C0_DEFAULT), "c0")
-    params = inc.ThresholdParams.from_exponents(s_prime, t_prime, epsilon, k1, c0=c0)
+    return grid_k, inc.ThresholdParams.from_exponents(s_prime, t_prime, epsilon, k1, c0=c0)
+
+
+def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -> dict:
+    """Multiplicity field of the circle family `v`; without one, of the file
+    config["v"]."""
+    if v is None:
+        v = fr.load_csv(_path(config, "v", "multiplicity"))
+    if len(v) == 0:
+        raise EmptyInput("parameter file has no circles")
+    if v.dim != 3:
+        raise ConfigInvalid("v must be a 3-column (center, radius) cloud")
+    k1 = v.k
+    grid_k, params = _multiplicity_fields(config, k1)
     delta = 2.0 ** (-k1)
     mu = fr.frostman_measure(v).scaled(1.0 / (k1 * k1))
     field = inc.multiplicity_field(mu, delta, grid_k)
@@ -373,52 +386,38 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
 
 
 def cmd_report(config: dict, seed, outdir: str) -> dict:
-    gen_cfg = config.get("generator")
-    if not gen_cfg:
-        raise ValueError("report config needs a `generator` object")
-    eta_rule = _eta_rule(config.get("eta_rule", "auto"))
-    # type-check the later stages' fields before any stage writes a file
-    for name in ("s_prime", "t_prime", "epsilon"):
-        if name in config:
-            gen._json_number(config[name], name)
-    if "grid_k" in config:
-        gen._json_int(config["grid_k"], "grid_k")
-    for entry in config.get("k_range", ()):
-        gen._json_int(entry, "k_range entry")
+    """gen, boxdim, triples and multiplicity on one set.  Every stage's config
+    follows from the generator config, so every stage's parser runs before gen;
+    a `c0` key is not forwarded."""
+    gen_cfg = _generator_config(config.get("generator"), seed)
+    k1, s, t = gen_cfg.k1, gen_cfg.realized_s, gen_cfg.realized_t
+    box_cfg = {"k_range": config.get("k_range", list(range(max(1, k1 - 5), k1 + 1))),
+               "s": s, "t": t}
+    triples_cfg = {"s_prime": config.get("s_prime", s),
+                   "eta_rule": config.get("eta_rule", "auto")}
+    mult_cfg = {
+        "grid_k": config.get("grid_k", k1),
+        "s_prime": config.get("s_prime", max(0.55, s)),
+        "t_prime": config.get("t_prime", t),
+        "epsilon": config.get("epsilon", 0.1),
+    }
+    _boxdim_fields(box_cfg)
+    _triples_fields(triples_cfg)
+    _multiplicity_fields(mult_cfg, k1)
     walls = {}
     t0 = time.perf_counter()
-    fset, gen_summary = cmd_gen(gen_cfg, seed, outdir)
+    fset, gen_summary = cmd_gen(config["generator"], seed, outdir)
     walls["gen"] = time.perf_counter() - t0
-    k1 = fset.config.k1
-    s, t = fset.realized_s, fset.realized_t
-    k_range = config.get("k_range", list(range(max(1, k1 - 5), k1 + 1)))
     t0 = time.perf_counter()
-    box_summary = cmd_boxdim(
-        {"k_range": k_range, "s": s, "t": t}, None, outdir, cloud=fset.cloud
-    )
+    box_summary = cmd_boxdim(box_cfg, None, outdir, cloud=fset.cloud)
     walls["boxdim"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    triples_summary = cmd_triples(
-        {"s_prime": config.get("s_prime", s), "eta_rule": eta_rule},
-        None,
-        outdir,
-        fset=fset,
-    )
+    triples_summary = cmd_triples(triples_cfg, None, outdir, fset=fset)
     walls["triples"] = time.perf_counter() - t0
     v_cloud = fset.v.cloud
     del fset  # the multiplicity stage needs only V; free the cloud and circles
     t0 = time.perf_counter()
-    mult_summary = cmd_multiplicity(
-        {
-            "grid_k": config.get("grid_k", k1),
-            "s_prime": config.get("s_prime", max(0.55, s)),
-            "t_prime": config.get("t_prime", t),
-            "epsilon": config.get("epsilon", 0.1),
-        },
-        None,
-        outdir,
-        v=v_cloud,
-    )
+    mult_summary = cmd_multiplicity(mult_cfg, None, outdir, v=v_cloud)
     walls["multiplicity"] = time.perf_counter() - t0
     return {
         "command": "report",

@@ -168,6 +168,17 @@ class FurstenbergConfig:
     def delta(self) -> float:
         return 2.0 ** (-self.k1)
 
+    @property
+    def realized_s(self) -> float:
+        """Dimension log n / log m of the angular base; 1 for s = 1."""
+        base = _angular_base(self)
+        return 1.0 if base is None else CantorSpec(*base, 1).realized_dim
+
+    @property
+    def realized_t(self) -> float:
+        """Dimension log n / log m of the parameter family's base."""
+        return CantorSpec(*choose_cantor_base(self.t), 1).realized_dim
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "FurstenbergConfig":
         allowed = {"s", "t", "k1", "preset", "seed", "cantor"}
@@ -283,8 +294,6 @@ class DiscretizedFurstenbergSet:
     circles: list
     angular: list
     cloud: PointCloud
-    realized_s: float
-    realized_t: float
 
 
 def _circle_points(z: CircleParam, angles: np.ndarray) -> np.ndarray:
@@ -294,10 +303,10 @@ def _circle_points(z: CircleParam, angles: np.ndarray) -> np.ndarray:
 
 
 def _angular_base(config: FurstenbergConfig):
+    """(m, pattern) of the angular sets; None for s = 1, whose sets are not Cantor."""
     if config.s == 1.0:
-        return None, 1.0
-    m, pattern = config.cantor or choose_cantor_base(config.s)
-    return (m, pattern), CantorSpec(m, pattern, 1).realized_dim
+        return None
+    return config.cantor or choose_cantor_base(config.s)
 
 
 def _circles(config: FurstenbergConfig, v: DeltaQSet, base):
@@ -323,33 +332,23 @@ def iter_furstenberg_points(config: FurstenbergConfig):
     too large to hold alongside their grids.
     """
     v = generate_parameter_set(config)
-    base, _ = _angular_base(config)
-    for z, angles in _circles(config, v, base):
+    for z, angles in _circles(config, v, _angular_base(config)):
         yield _circle_points(z, angles)
 
 
 def assemble_furstenberg(config: FurstenbergConfig) -> DiscretizedFurstenbergSet:
     """Build the full discretized set; deterministic in config + seed."""
     v = generate_parameter_set(config)
-    base, realized_s = _angular_base(config)
-    m_t, pat_t = choose_cantor_base(config.t)
-    realized_t = CantorSpec(m_t, pat_t, 1).realized_dim
     circles = []
     angular = []
     chunks = []
-    for z, angles in _circles(config, v, base):
+    for z, angles in _circles(config, v, _angular_base(config)):
         circles.append(z)
         angular.append(angles)
         chunks.append(_circle_points(z, angles))
     cloud = PointCloud.create(np.concatenate(chunks), config.k1)
     return DiscretizedFurstenbergSet(
-        config=config,
-        v=v,
-        circles=circles,
-        angular=angular,
-        cloud=cloud,
-        realized_s=realized_s,
-        realized_t=realized_t,
+        config=config, v=v, circles=circles, angular=angular, cloud=cloud
     )
 
 

@@ -325,10 +325,7 @@ def test_criterion_5_dimension_bound_consistency():
     ok = True
     for s, t in ((1.0, 1.0), (0.5, 0.5), (0.8, 0.5)):
         cfg = FurstenbergConfig(s=s, t=t, k1=12, preset="concentric", seed=SEED)
-        base, _ = gen._angular_base(cfg)
-        m_t, pat_t = gen.choose_cantor_base(cfg.t)
-        realized_s = 1.0 if s == 1.0 else gen.CantorSpec(*base, 1).realized_dim
-        realized_t = gen.CantorSpec(m_t, pat_t, 1).realized_dim
+        realized_s, realized_t = cfg.realized_s, cfg.realized_t
         counts = inc.box_counts_streaming(gen.iter_furstenberg_points(cfg), range(6, 13))
         slope = inc.dimension_slope(sorted(counts.items()))
         bound = max(

@@ -91,6 +91,7 @@ def test_non_integer_field_exit2(field, tmp_path):
     fr.save_csv(fr.PointCloud(np.array([[0.1, 0.2]]), 6), tmp_path / "cloud.csv")
     cfg = write_json(tmp_path / "c.json", config(tmp_path))
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert os.listdir(tmp_path / "o") == []
 
 
 # (command, config under a directory holding v.csv and cloud.csv), one per
@@ -131,22 +132,29 @@ def test_non_number_field_exit2(field, tmp_path, monkeypatch):
     fr.save_csv(fr.PointCloud(np.array([[0.1, 0.2], [0.7, 0.4]]), 6), tmp_path / "cloud.csv")
     cfg = write_json(tmp_path / "c.json", config(tmp_path))
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert os.listdir(tmp_path / "o") == []
 
 
-# report type-checks the fields of its later stages before gen writes a file
+# report checks the type and range of its later stages' fields before gen
+# writes a file; s_prime 0.5 passes triples but not the multiplicity threshold
 REPORT_STAGE_FIELDS = {
-    "s_prime": "0.9",
-    "t_prime": True,
-    "epsilon": "0.1",
-    "grid_k": 6.5,
-    "k_range": [4, 5.5],
+    "s_prime": ("s_prime", "0.9"),
+    "s_prime-range": ("s_prime", 0.5),
+    "t_prime": ("t_prime", True),
+    "t_prime-range": ("t_prime", 5),
+    "epsilon": ("epsilon", "0.1"),
+    "epsilon-range": ("epsilon", 0),
+    "grid_k": ("grid_k", 6.5),
+    "k_range": ("k_range", [4, 5.5]),
+    "k_range-empty": ("k_range", []),
 }
 
 
-@pytest.mark.parametrize("field", sorted(REPORT_STAGE_FIELDS))
-def test_report_stage_field_exit2_before_writing(field, tmp_path, monkeypatch):
+@pytest.mark.parametrize("case", sorted(REPORT_STAGE_FIELDS))
+def test_report_stage_field_exit2_before_writing(case, tmp_path, monkeypatch):
     monkeypatch.setattr(gen, "assemble_furstenberg", mock.Mock(side_effect=AssertionError))
-    config = {"generator": REPORT_CFG, field: REPORT_STAGE_FIELDS[field]}
+    field, value = REPORT_STAGE_FIELDS[case]
+    config = {"generator": REPORT_CFG, field: value}
     cfg = write_json(tmp_path / "r.json", config)
     out = tmp_path / "o"
     assert run(["report", "--config", cfg, "--out", out]) == 2
