@@ -46,10 +46,10 @@ for zc, angles in zip(fset.circles, fset.angular):
     data.append((extract_three_arcs(zc, p, 1.0, eta, delta=delta), p))
 
 grid = box_count(fset.cloud, cfg.k1)
-t_index = build_triple_index(data, grid)
+t_index = build_triple_index(data, cfg.k1)
 tau = min(t.tau for t, _ in data)
 print(f"\nwhole family: {len(data)} circles, {grid.count} occupied cells")
 print(f"  per-arc cell counts (first 5 circles): {t_index.counts[:5].tolist()}")
 print(f"  triple index size: {t_index.count} "
       f"(= sum over circles of the per-arc count products)")
-print(f"  ratio #T * tau^6 / #cells^3 = {triple_upper_ratio(t_index, grid, tau):.3g}")
+print(f"  ratio #T * tau^6 / #cells^3 = {triple_upper_ratio(t_index, grid.count, tau):.3g}")

@@ -1,4 +1,4 @@
-"""Annulus multiplicity fields and low-multiplicity statistics.
+"""Multiplicity fields of annuli and low-multiplicity statistics.
 
 m(w) adds the weight of every circle whose delta-annulus covers the point
 w.  The field integrates exactly to the weighted annulus-cell counts, and

@@ -10,15 +10,15 @@ import numpy as np
 from flab import (
     box_counts_streaming,
     dimension_slope,
-    inversion_map,
     invert_points,
     invert_set,
     linear_furstenberg,
 )
 
 print("pointwise identities:")
-print("  1/(1,0) =", inversion_map((1.0, 0.0)))
-print("  1/(0,1) =", inversion_map((0.0, 1.0)))
+at_1, at_i = invert_points(np.array([[1.0, 0.0], [0.0, 1.0]]))
+print("  1/(1,0) =", at_1)
+print("  1/(0,1) =", at_i)
 ys = np.linspace(-5, 5, 7)
 line = np.column_stack([np.full_like(ys, 0.5), ys])
 w = invert_points(line)

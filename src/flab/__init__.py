@@ -41,28 +41,24 @@ from .generators import (
     choose_cantor_base,
     generate_angular_set,
     generate_parameter_set,
-    inversion_map,
     invert_points,
     invert_set,
     iter_furstenberg_points,
     linear_furstenberg,
 )
 from .geometry import (
-    Annulus,
     CircleParam,
     EmptyRegion,
     SeparatedRectangle,
     THREE_CIRCLE_K,
     TriangleFrame,
     WRegionBound,
-    annulus_contains,
     circumcenter,
     pairwise_rectangle,
     sample_two_annulus_points,
     three_circle_bound,
     w_region_diameter_within,
     w_region_grid_members,
-    w_region_membership,
     w_region_sample_diameter,
 )
 from .incidence import (

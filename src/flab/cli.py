@@ -13,8 +13,10 @@ command with identical inputs and seed reproduces the data files byte for
 byte; the only exception is the wall_times block of `report`.
 
 Exit codes: 0 success, 2 config parse/shape error (a non-integer integer
-field or a non-number float field included; every command, and `report` for
-every stage, checks its fields before it writes, so --out stays empty),
+field or a non-number float field included, as are a `k_range` whose finest
+scale is negative and a `grid_k` below -1023, whose cell side overflows a
+float; every command, and `report` for every stage, checks its fields before
+it writes, so --out stays empty),
 3 invariant violation or any other library error, 4 missing input file,
 5 experiment degeneracy.
 """
@@ -121,6 +123,8 @@ def _boxdim_fields(config: dict):
     if not config.get("k_range"):
         raise ValueError("boxdim config needs `k_range`")
     k_range = [gen._json_int(k, "k_range entry") for k in config["k_range"]]
+    if max(k_range) < 0:
+        raise ValueError(f"k_range needs a scale >= 0, got finest {max(k_range)}")
     if "s" in config and "t" in config:
         return k_range, gen._json_number(config["s"], "s"), gen._json_number(config["t"], "t")
     return k_range, None, None
@@ -274,7 +278,7 @@ def cmd_triples(
             f"arc extraction failed on {failures}/{n} circles (> 10%)"
         )
     grid = inc.box_count(fset.cloud, cfg.k1)
-    t_index = inc.build_triple_index(data, grid)
+    t_index = inc.build_triple_index(data, cfg.k1)
     cover_counts = t_index.counts
     reference = inc.step4_reference_count(s_prime, cfg.k1)
     fr.write_csv(
@@ -285,7 +289,7 @@ def cmd_triples(
     nonempty = cover_counts[cover_counts.sum(axis=1) > 0]
     taus = [t.tau for t, _ in data if t is not None]
     tau = min(taus) if taus else float("nan")
-    ratio = inc.triple_upper_ratio(t_index, grid, tau) if taus else float("nan")
+    ratio = inc.triple_upper_ratio(t_index, grid.count, tau) if taus else float("nan")
     fr.write_csv(
         os.path.join(outdir, "triples.csv"),
         "k1,n_cells,n_triples,tau,ratio",
@@ -325,6 +329,8 @@ def write_cells_m(path, field: inc.MultiplicityField) -> None:
 def _multiplicity_fields(config: dict, k1: int):
     """(grid_k, ThresholdParams at scale k1) of a multiplicity config."""
     grid_k = gen._json_int(config.get("grid_k", k1), "grid_k")
+    if grid_k < -1023:  # the cell side 2^-grid_k would overflow a float
+        raise ValueError(f"grid_k must be >= -1023, got {grid_k}")
     s_prime = gen._json_number(config.get("s_prime", 0.75), "s_prime")
     t_prime = gen._json_number(config.get("t_prime", 0.5), "t_prime")
     epsilon = gen._json_number(config.get("epsilon", 0.1), "epsilon")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,7 +267,6 @@ class DiscreteMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    uniform: bool = field(default=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -284,17 +283,8 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def measure_ball(self, z, r: float) -> float:
-        """Mass of the closed ball B(z, r)."""
-        z = np.asarray(z, dtype=float)
-        d = np.linalg.norm(self.points - z, axis=1)
-        inside = d <= r
-        if self.uniform:
-            return float(inside.sum()) / len(self)
-        return float(self.weights[inside].sum())
-
     def scaled(self, factor: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.points, self.weights * factor, uniform=False)
+        return DiscreteMeasure(self.points, self.weights * factor)
 
 
 def frostman_measure(cloud: PointCloud) -> DiscreteMeasure:
@@ -302,7 +292,7 @@ def frostman_measure(cloud: PointCloud) -> DiscreteMeasure:
     n = len(cloud)
     if n == 0:
         raise EmptyInput("cannot build a measure on an empty cloud")
-    return DiscreteMeasure(cloud.points, np.full(n, 1.0 / n), uniform=True)
+    return DiscreteMeasure(cloud.points, np.full(n, 1.0 / n))
 
 
 # --- Hausdorff content estimation -------------------------------------------
@@ -314,9 +304,6 @@ class ContentEstimate:
 
     upper: float
     cover: list
-
-    def cover_sum(self, s: float) -> float:
-        return float(sum((2.0 * r) ** s for _, r in self.cover))
 
 
 def normalize_to_unit_ball(points: np.ndarray):
@@ -476,12 +463,7 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
     the enclosing ball's cost: a float sum of positive terms never falls, so
     from then on the ball is the answer.
     """
-    if isinstance(points, PointCloud):
-        if r_min < points.delta:
-            raise ValueError("need r_min >= delta")
-        pts = points.points
-    else:
-        pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyInput("no points")
     if not (0.0 < s <= 2.0):

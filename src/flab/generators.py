@@ -355,15 +355,6 @@ def assemble_furstenberg(config: FurstenbergConfig) -> DiscretizedFurstenbergSet
 # --- the reciprocal map ------------------------------------------------------
 
 
-def inversion_map(p) -> np.ndarray:
-    """Complex reciprocal 1/z as a planar map; |w| = 1/|p|."""
-    p = np.asarray(p, dtype=float).reshape(2)
-    n2 = float(p @ p)
-    if n2 == 0.0:
-        raise OriginInput("the reciprocal is undefined at the origin")
-    return np.array([p[0] / n2, -p[1] / n2])
-
-
 def invert_points(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     n2 = (pts ** 2).sum(axis=1)

@@ -61,25 +61,6 @@ class CircleParam:
         return math.hypot(*self.center) <= 0.25 and _B_LO <= self.radius <= _B_HI
 
 
-@dataclass(frozen=True)
-class Annulus:
-    """Closed annulus of halfwidth a around a circle: B(x, r+a) \\ B(x, r-a)."""
-
-    circle: CircleParam
-    halfwidth: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "halfwidth", float(self.halfwidth))
-        if not (0.0 < self.halfwidth < self.circle.radius):
-            raise ValueError("need 0 < halfwidth < radius")
-
-
-def annulus_contains(ann: Annulus, p) -> bool:
-    """Closed membership test: radius - a <= ||p - center|| <= radius + a."""
-    d = math.hypot(*(_as_point(p) - np.asarray(ann.circle.center)))
-    return ann.circle.radius - ann.halfwidth <= d <= ann.circle.radius + ann.halfwidth
-
-
 def circumcenter(A, B, C):
     """Circumcenter M and circumradius h of the triangle ABC.
 
@@ -147,13 +128,6 @@ class SeparatedRectangle:
     long_half: float
     short_axis: tuple
     long_axis: tuple
-
-    def contains(self, p) -> bool:
-        d = _as_point(p) - np.asarray(self.center)
-        return (
-            abs(float(d @ np.asarray(self.short_axis))) <= self.short_half
-            and abs(float(d @ np.asarray(self.long_axis))) <= self.long_half
-        )
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         d = np.asarray(pts, dtype=float) - np.asarray(self.center)
@@ -263,16 +237,6 @@ def three_circle_bound(frame: TriangleFrame, a: float):
         diam_bound=bound,
         radius_interval=interval,
     )
-
-
-def w_region_membership(frame: TriangleFrame, a: float, b: float, x) -> bool:
-    """Whether (x, b) satisfies all three closed annulus constraints."""
-    x = _as_point(x)
-    for P in (frame.a, frame.b, frame.c):
-        d = math.hypot(x[0] - P[0], x[1] - P[1])
-        if not (b - a <= d <= b + a):
-            return False
-    return True
 
 
 # --- origin-anchored grid scan of W ----------------------------------------

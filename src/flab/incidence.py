@@ -36,17 +36,13 @@ C0_DEFAULT = 4.0 * math.pi + 2.0  # pinned area constant in |S^delta(z)| <= c0*d
 
 @dataclass
 class CoverGrid:
-    """Occupied dyadic cells of side 2^-k, sorted lexicographically."""
+    """Occupied dyadic cells, sorted lexicographically."""
 
-    k: int
     cells: np.ndarray  # (n, dim) int64
 
     @property
     def count(self) -> int:
         return self.cells.shape[0]
-
-    def occupied_set(self) -> set:
-        return {tuple(row) for row in self.cells}
 
 
 def box_count(cloud_or_points, k: int) -> CoverGrid:
@@ -60,7 +56,7 @@ def box_count(cloud_or_points, k: int) -> CoverGrid:
         raise EmptyInput("no points to count")
     idx = np.floor(pts * (1 << k)).astype(np.int64)
     _, starts, order = _unique_runs(_pack(idx))
-    return CoverGrid(k=k, cells=idx[order[starts]])
+    return CoverGrid(cells=idx[order[starts]])
 
 
 _MERGE_EVERY = 1 << 22  # buffered chunk cells between merges into the columns
@@ -143,8 +139,6 @@ class ArcTriple:
     intervals: tuple  # three (lo, hi) angle intervals, half-open
     gamma: float
     tau: float
-    eta: float
-    s_prime: float
     contents: tuple
 
     def min_chord_separation(self) -> float:
@@ -303,8 +297,6 @@ def extract_three_arcs(
         intervals=intervals,
         gamma=gamma,
         tau=gamma / math.pi,
-        eta=eta,
-        s_prime=s_prime,
         contents=(c1, c2, c3),
     )
     if triple.min_chord_separation() < gamma / math.pi - 1e-12:
@@ -330,7 +322,6 @@ class TripleIndex:
     of the products, taken in Python ints so that it cannot overflow.
     """
 
-    k: int
     counts: np.ndarray  # (n_circles, 3) int64
 
     @property
@@ -338,23 +329,24 @@ class TripleIndex:
         return sum(a * b * c for a, b, c in self.counts.tolist())
 
 
-def build_triple_index(arc_data, grid: CoverGrid) -> TripleIndex:
-    """arc_data: iterable of (ArcTriple or None, circle cloud points) in circle order."""
+def build_triple_index(arc_data, k: int) -> TripleIndex:
+    """Arc cells of side 2^-k; arc_data: iterable of (ArcTriple or None,
+    circle cloud points) in circle order."""
     rows = [
-        [0, 0, 0] if triple is None else [c.size for c in _arc_cell_keys(triple, pts, grid.k)]
+        [0, 0, 0] if triple is None else [c.size for c in _arc_cell_keys(triple, pts, k)]
         for triple, pts in arc_data
     ]
-    return TripleIndex(k=grid.k, counts=np.array(rows, dtype=np.int64))
+    return TripleIndex(counts=np.array(rows, dtype=np.int64))
 
 
-def triple_upper_ratio(t_index: TripleIndex, grid: CoverGrid, tau: float) -> float:
+def triple_upper_ratio(t_index: TripleIndex, n_cells: int, tau: float) -> float:
     """#T * tau^6 / (#cells)^3; bounded by a constant via the three-circle
     confinement, reported as measured."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if grid.count == 0:
+    if n_cells == 0:
         raise EmptyInput("empty grid")
-    return t_index.count * tau ** 6 / grid.count ** 3
+    return t_index.count * tau ** 6 / n_cells ** 3
 
 
 def step4_reference_count(s_prime: float, k1: int) -> float:
@@ -387,7 +379,6 @@ class MultiplicityField:
     per_atom_counts: np.ndarray
     atom_starts: np.ndarray
     positions: np.ndarray
-    total_mass: float
 
     @property
     def sup(self) -> float:
@@ -459,7 +450,6 @@ def multiplicity_field(measure: DiscreteMeasure, delta: float, grid_k: int) -> M
         per_atom_counts=counts,
         atom_starts=np.cumsum(counts) - counts,
         positions=pos,
-        total_mass=measure.total_mass,
     )
 
 
@@ -528,7 +518,6 @@ class ThresholdParams:
 class LowMultiplicityStats:
     """Reported statistics for one circle's low-multiplicity cells."""
 
-    cells: np.ndarray
     s1_count: int
     s2_count: int
     area_ratio: float
@@ -540,24 +529,22 @@ class LowMultiplicityStats:
 def low_multiplicity_subset(
     atom_idx: int, field: MultiplicityField, params: ThresholdParams
 ) -> LowMultiplicityStats:
-    """Cells of the atom's annulus with multiplicity strictly below the
-    threshold, plus area statistics.  The 1/2 area ratio is a reported
-    statistic, not an asserted invariant."""
+    """Counts of the atom's annulus cells (S1) and of those with
+    multiplicity strictly below the threshold (S2), plus area statistics.
+    The 1/2 area ratio is a reported statistic, not an asserted invariant."""
     start = int(field.atom_starts[atom_idx])
-    pos = field.positions[start : start + int(field.per_atom_counts[atom_idx])]
-    s1 = field.cells[pos]
-    low = field.values[pos] < params.threshold
+    s1_count = int(field.per_atom_counts[atom_idx])
+    low = field.values[field.positions[start : start + s1_count]] < params.threshold
     g = 2.0 ** (-field.grid_k)
     delta = field.delta
-    s1_area = s1.shape[0] * g * g
+    s1_area = s1_count * g * g
     reference = delta ** (2.0 - params.s_prime) / (
         4.0 ** params.s_prime * params.k1 * params.k1
     )
     return LowMultiplicityStats(
-        cells=s1[low],
-        s1_count=int(s1.shape[0]),
+        s1_count=s1_count,
         s2_count=int(low.sum()),
-        area_ratio=float(low.sum()) / s1.shape[0] if s1.shape[0] else 0.0,
+        area_ratio=float(low.sum()) / s1_count if s1_count else 0.0,
         s1_area=s1_area,
         s1_area_reference=reference,
         threshold=params.threshold,

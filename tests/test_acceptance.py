@@ -270,7 +270,7 @@ def test_criterion_4_oracle_equivalence():
         total_points += len(pts)
         n_instances += 1
         k = 6 if len(pts) > 50000 else 7
-        if inc.box_count(pts, k).occupied_set() != brute_box(pts, k):
+        if set(map(tuple, inc.box_count(pts, k).cells.tolist())) != brute_box(pts, k):
             mismatches.append(f"box[{i}]")
 
     # 6 triple-index instances
@@ -295,8 +295,7 @@ def test_criterion_4_oracle_equivalence():
         fs, data = arc_instances(cfg, s_prime)
         total_points += len(fs.cloud)
         n_instances += 1
-        grid = inc.box_count(fs.cloud, cfg.k1)
-        ti = inc.build_triple_index(data, grid)
+        ti = inc.build_triple_index(data, cfg.k1)
         if not triples_match(ti, data, cfg.k1):
             mismatches.append(f"triples[{i}]")
 
@@ -407,11 +406,11 @@ def test_criterion_7_triple_count_guard():
         cfg = FurstenbergConfig(s=1.0, t=1.0, k1=k1, preset="concentric", seed=SEED)
         fs, data = arc_instances(cfg, 1.0)
         grid = inc.box_count(fs.cloud, k1)
-        ti = inc.build_triple_index(data, grid)
+        ti = inc.build_triple_index(data, k1)
         if k1 == 7:  # pin against the brute-force baseline
             ok &= triples_match(ti, data, k1)
         taus = [t.tau for t, _ in data if t is not None]
-        ratio = inc.triple_upper_ratio(ti, grid, min(taus))
+        ratio = inc.triple_upper_ratio(ti, grid.count, min(taus))
         ok &= ratio <= 1e4
         details.append(f"k1={k1}: #T={ti.count}, ratio={ratio:.3g}")
     elapsed = time.perf_counter() - t0

@@ -161,6 +161,45 @@ def test_report_stage_field_exit2_before_writing(case, tmp_path, monkeypatch):
     assert os.listdir(out) == []
 
 
+# (command, config under a directory holding v.csv and cloud.csv), one per
+# field range that the library would only find out after gen: a cell side
+# 2^-grid_k that overflows a float, and a negative finest box-count scale
+OUT_OF_RANGE_FIELDS = {
+    "grid_k-overflow": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "grid_k": -1024}),
+    "report-grid_k-overflow": ("report", lambda d: {"generator": REPORT_CFG, "grid_k": -1024}),
+    "k_range-negative": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"),
+                                              "k_range": [-3, -2, -1]}),
+    "report-k_range-negative": ("report", lambda d: {"generator": REPORT_CFG,
+                                                     "k_range": [-3, -2, -1]}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OUT_OF_RANGE_FIELDS))
+def test_out_of_range_field_exit2(field, tmp_path, monkeypatch):
+    monkeypatch.setattr(gen, "assemble_furstenberg", mock.Mock(side_effect=AssertionError))
+    command, config = OUT_OF_RANGE_FIELDS[field]
+    fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
+    fr.save_csv(fr.PointCloud(np.array([[0.1, 0.2], [0.7, 0.4]]), 6), tmp_path / "cloud.csv")
+    cfg = write_json(tmp_path / "c.json", config(tmp_path))
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert os.listdir(tmp_path / "o") == []
+
+
+# the edges of those ranges still run: the largest cell side a float holds,
+# and negative scales next to a finest scale of 0
+@pytest.mark.parametrize(
+    "command,config",
+    [("multiplicity", lambda d: {"v": str(d / "v.csv"), "grid_k": -1023}),
+     ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"), "k_range": [-2, -1, 0]})],
+    ids=["grid_k--1023", "k_range-finest-0"],
+)
+def test_range_edge_exit0(command, config, tmp_path):
+    fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
+    fr.save_csv(fr.PointCloud(np.array([[0.1, 0.2], [0.7, 0.4]]), 6), tmp_path / "cloud.csv")
+    cfg = write_json(tmp_path / "c.json", config(tmp_path))
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 0
+
+
 # open() takes an int as a file descriptor; this one is not open
 @pytest.mark.parametrize(
     "command,config",

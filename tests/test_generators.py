@@ -202,14 +202,14 @@ class TestAssemble:
 
 class TestInversion:
     def test_fixed_point(self):
-        assert np.allclose(gen.inversion_map((1.0, 0.0)), [1.0, 0.0])
+        assert np.allclose(gen.invert_points(np.array([[1.0, 0.0]])), [[1.0, 0.0]])
 
     def test_reciprocal_of_i(self):
-        assert np.allclose(gen.inversion_map((0.0, 1.0)), [0.0, -1.0])
+        assert np.allclose(gen.invert_points(np.array([[0.0, 1.0]])), [[0.0, -1.0]])
 
     def test_origin_raises(self):
         with pytest.raises(OriginInput):
-            gen.inversion_map((0.0, 0.0))
+            gen.invert_points(np.array([[0.0, 0.0]]))
 
     def test_vertical_line_maps_to_circle(self):
         # the line {x = 1/2} maps onto the circle |w - (1,0)| = 1
@@ -224,15 +224,15 @@ class TestInversion:
         st.floats(min_value=0.0, max_value=2 * math.pi),
     )
     def test_involution_and_norm(self, r, th):
-        p = np.array([r * math.cos(th), r * math.sin(th)])
-        w = gen.inversion_map(p)
+        p = np.array([[r * math.cos(th), r * math.sin(th)]])
+        w = gen.invert_points(p)
         assert np.linalg.norm(w) == pytest.approx(1.0 / r, rel=1e-12)
-        back = gen.inversion_map(w)
+        back = gen.invert_points(w)
         assert np.linalg.norm(back - p) <= 1e-12 * np.linalg.norm(p)
 
     def test_collinear_pair_ratio(self):
-        p, q = np.array([1.0, 0.0]), np.array([4.0, 0.0])
-        num = np.linalg.norm(gen.inversion_map(p) - gen.inversion_map(q))
+        p, q = np.array([[1.0, 0.0]]), np.array([[4.0, 0.0]])
+        num = np.linalg.norm(gen.invert_points(p) - gen.invert_points(q))
         assert num / np.linalg.norm(p - q) == pytest.approx(0.25, rel=1e-12)
 
     def test_invert_set_requires_annulus(self):

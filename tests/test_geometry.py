@@ -16,23 +16,13 @@ def equilateral_frame():
     return geo.TriangleFrame.create(A, B, C, 0.5)
 
 
-class TestAnnulus:
-    def test_point_on_circle(self):
-        ann = geo.Annulus(geo.CircleParam((0.0, 0.0), 1.0), 0.1)
-        assert geo.annulus_contains(ann, (1.0, 0.0))
-
-    def test_center_excluded(self):
-        ann = geo.Annulus(geo.CircleParam((0.0, 0.0), 1.0), 0.1)
-        assert not geo.annulus_contains(ann, (0.0, 0.0))
-
-    def test_closed_boundary(self):
-        ann = geo.Annulus(geo.CircleParam((0.0, 0.0), 1.0), 0.1)
-        assert geo.annulus_contains(ann, (1.1, 0.0))
-        assert not geo.annulus_contains(ann, (1.1000001, 0.0))
-
-    def test_halfwidth_must_stay_below_radius(self):
-        with pytest.raises(ValueError):
-            geo.Annulus(geo.CircleParam((0.0, 0.0), 1.0), 1.0)
+def w_region_membership(frame, a, b, x):
+    """Whether (x, b) satisfies all three closed annulus constraints."""
+    for P in (frame.a, frame.b, frame.c):
+        d = math.hypot(x[0] - P[0], x[1] - P[1])
+        if not (b - a <= d <= b + a):
+            return False
+    return True
 
 
 class TestCircumcenter:
@@ -81,9 +71,8 @@ class TestPairwiseRectangle:
         rect = geo.pairwise_rectangle((-1.0, 0.0), (1.0, 0.0), 0.005, 0.5)
         p = (0.0, math.sqrt(1.5 ** 2 - 1.0))
         for center in ((-1.0, 0.0), (1.0, 0.0)):
-            ann = geo.Annulus(geo.CircleParam(center, 1.5), 0.005)
-            assert geo.annulus_contains(ann, p)
-        assert rect.contains(p)
+            assert abs(math.hypot(p[0] - center[0], p[1] - center[1]) - 1.5) <= 0.005
+        assert rect.contains_many(np.array([p])).all()
 
     def test_short_half_below_long_half(self):
         rng = np.random.default_rng(3)
@@ -138,7 +127,7 @@ class TestWRegion:
     def test_circumcenter_concurrence(self):
         frame = equilateral_frame()
         M, h = geo.circumcenter(*EQUILATERAL)
-        assert geo.w_region_membership(frame, 0.001, h, M)
+        assert w_region_membership(frame, 0.001, h, M)
 
     def test_far_offset_by_direct_evaluation(self):
         frame = equilateral_frame()
@@ -148,7 +137,7 @@ class TestWRegion:
         # direct-evaluation oracle
         dists = [math.hypot(x[0] - P[0], x[1] - P[1]) for P in EQUILATERAL]
         expect = all(h - a <= d <= h + a for d in dists)
-        assert geo.w_region_membership(frame, a, h, x) == expect
+        assert w_region_membership(frame, a, h, x) == expect
         assert expect is False  # 10*a/c^2 = 0.04 exceeds the annulus width
 
     def test_members_match_membership(self):
@@ -156,7 +145,7 @@ class TestWRegion:
         members = geo.w_region_grid_members(frame, 0.01, 0.001)
         assert members.shape[0] > 0
         for row in members[:: max(1, members.shape[0] // 50)]:
-            assert geo.w_region_membership(frame, 0.01, row[2], row[:2])
+            assert w_region_membership(frame, 0.01, row[2], row[:2])
 
     def test_equilateral_sampled_diameter(self):
         d = geo.w_region_sample_diameter(equilateral_frame(), 0.01, 0.001)
@@ -280,7 +269,7 @@ class TestWRegion:
             for j in range(lo[1], hi[1] + 1):
                 for m in range(lo[2], hi[2] + 1):
                     b = 0.5 + m * g
-                    if 0.5 <= b <= 2.0 and geo.w_region_membership(frame, a, b, (i * g, j * g)):
+                    if 0.5 <= b <= 2.0 and w_region_membership(frame, a, b, (i * g, j * g)):
                         found.add((i * g, j * g, b))
         assert len(found) > 1000
         assert sorted(found) == sorted(map(tuple, members.tolist()))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -64,7 +65,7 @@ class TestBoxCount:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-2, 2, (3000, 2))
         grid = inc.box_count(pts, 6)
-        assert grid.occupied_set() == brute_box_count(pts, 6)
+        assert set(map(tuple, grid.cells.tolist())) == brute_box_count(pts, 6)
 
     def test_streaming_matches_direct(self):
         rng = np.random.default_rng(3)
@@ -330,8 +331,6 @@ def synthetic_triple(z, intervals, gamma=0.01):
         intervals=intervals,
         gamma=gamma,
         tau=gamma / math.pi,
-        eta=0.16,
-        s_prime=1.0,
         contents=(0.02, 0.02, 0.02),
     )
 
@@ -342,8 +341,7 @@ class TestTripleIndex:
         angs = np.array([0.05, 1.05, 2.05])
         pts = circle_points(z, angs)
         tri = synthetic_triple(z, ((0.0, 0.1), (1.0, 1.1), (2.0, 2.1)))
-        grid = inc.box_count(pts, 6)
-        ti = inc.build_triple_index([(tri, pts)], grid)
+        ti = inc.build_triple_index([(tri, pts)], 6)
         assert ti.count == 1
 
     def test_product_count_eight(self):
@@ -351,8 +349,7 @@ class TestTripleIndex:
         angs = np.array([0.02, 0.09, 1.02, 1.09, 2.02, 2.09])
         pts = circle_points(z, angs)
         tri = synthetic_triple(z, ((0.0, 0.1), (1.0, 1.1), (2.0, 2.1)))
-        grid = inc.box_count(pts, 8)
-        ti = inc.build_triple_index([(tri, pts)], grid)
+        ti = inc.build_triple_index([(tri, pts)], 8)
         assert ti.counts.tolist() == [[2, 2, 2]]
         assert ti.count == 8
 
@@ -366,8 +363,7 @@ class TestTripleIndex:
             eta = inc.auto_eta(1.0, d, cfg.k1)
             tri = inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
             data.append((tri, pts))
-        grid = inc.box_count(fs.cloud, cfg.k1)
-        ti = inc.build_triple_index(data, grid)
+        ti = inc.build_triple_index(data, cfg.k1)
         # brute force: definitional python loops
         brute = set()
         for z_idx, (tri, pts) in enumerate(data):
@@ -390,8 +386,7 @@ class TestTripleIndex:
             eta = inc.auto_eta(1.0, d, cfg.k1)
             tri = inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
             data.append((tri, pts))
-        grid = inc.box_count(fs.cloud, cfg.k1)
-        ti = inc.build_triple_index(data, grid)
+        ti = inc.build_triple_index(data, cfg.k1)
         total = 0
         for z_idx, (tri, pts) in enumerate(data):
             sets = brute_arc_sets(tri, pts, cfg.k1)
@@ -403,14 +398,13 @@ class TestTripleIndex:
         assert ti.count == total
 
     def test_upper_ratio_arithmetic(self):
-        grid = inc.CoverGrid(k=5, cells=np.array([[0, 0], [0, 1], [1, 0]]))
-        ti = inc.TripleIndex(k=5, counts=np.array([[1, 1, 1]]))
-        assert inc.triple_upper_ratio(ti, grid, 1.0) == pytest.approx(1.0 / 27.0)
-        empty = inc.TripleIndex(k=5, counts=np.zeros((0, 3), dtype=np.int64))
-        assert inc.triple_upper_ratio(empty, grid, 0.5) == 0.0
+        ti = inc.TripleIndex(counts=np.array([[1, 1, 1]]))
+        assert inc.triple_upper_ratio(ti, 3, 1.0) == pytest.approx(1.0 / 27.0)
+        empty = inc.TripleIndex(counts=np.zeros((0, 3), dtype=np.int64))
+        assert inc.triple_upper_ratio(empty, 3, 0.5) == 0.0
 
     def test_count_does_not_overflow(self):
-        ti = inc.TripleIndex(k=5, counts=np.array([[2**22, 2**22, 2**22]]))
+        ti = inc.TripleIndex(counts=np.array([[2**22, 2**22, 2**22]]))
         assert ti.count == 2**66
 
 
@@ -439,7 +433,7 @@ def brute_multiplicity(measure, delta, grid_k, bbox):
 
 class TestMultiplicity:
     def test_single_circle_field(self):
-        mu = fr.DiscreteMeasure(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]), uniform=True)
+        mu = fr.DiscreteMeasure(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
         field = inc.multiplicity_field(mu, 2.0 ** (-7), 7)
         assert set(field.values.tolist()) == {1.0}
         assert field.sup <= mu.total_mass
@@ -520,7 +514,7 @@ class TestThresholds:
         assert 0.0 < p.lam <= 1.0
 
     def test_single_circle_low_multiplicity(self):
-        mu = fr.DiscreteMeasure(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]), uniform=True)
+        mu = fr.DiscreteMeasure(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
         field = inc.multiplicity_field(mu, 2.0 ** (-7), 7)
         params = inc.ThresholdParams.from_exponents(0.8, 0.6, 0.1, 7)
         assert params.threshold > 1.0
@@ -532,7 +526,6 @@ class TestThresholds:
         mu = fr.DiscreteMeasure(
             np.array([[0.0, 0.0, 0.7], [0.0, 0.0, 1.4], [0.0, 0.0, 1.9]]),
             np.full(3, 1.0 / 3.0),
-            uniform=True,
         )
         field = inc.multiplicity_field(mu, 2.0 ** (-7), 7)
         params = inc.ThresholdParams.from_exponents(0.9, 0.5, 0.2, 7)
@@ -542,9 +535,37 @@ class TestThresholds:
             assert st.area_ratio == 1.0
             assert st.s1_area >= 0.0
 
+    def test_threshold_between_multiplicities(self):
+        # three overlapping annuli with distinct weights; the threshold sits
+        # between one and two covering atoms, so each annulus has cells on
+        # both sides of it
+        mu = fr.DiscreteMeasure(
+            np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.05]]),
+            np.array([0.2, 0.3, 0.4]),
+        )
+        delta, grid_k = 2.0 ** (-6), 6
+        field = inc.multiplicity_field(mu, delta, grid_k)
+        params = dataclasses.replace(
+            inc.ThresholdParams.from_exponents(0.8, 0.6, 0.1, 6), threshold=0.45
+        )
+        values = sorted(set(field.values.tolist()))
+        assert any(lo < params.threshold < hi for lo, hi in zip(values, values[1:]))
+        # recount each atom's cells and its cells below the threshold
+        brute = brute_multiplicity(mu, delta, grid_k, ((-2.3, -2.3), (2.3, 2.3)))
+        cells = np.array(list(brute))
+        m = np.array(list(brute.values()))
+        g = 2.0 ** (-grid_k)
+        for idx, (cx, cy, r) in enumerate(mu.points):
+            dist = np.hypot((cells[:, 0] + 0.5) * g - cx, (cells[:, 1] + 0.5) * g - cy)
+            mine = np.abs(dist - r) <= delta
+            s1, s2 = int(mine.sum()), int((m[mine] < params.threshold).sum())
+            assert 0 < s2 < s1
+            st = inc.low_multiplicity_subset(idx, field, params)
+            assert (st.s1_count, st.s2_count, st.area_ratio) == (s1, s2, s2 / s1)
+
     def test_sim2_reference_area(self):
         params = inc.ThresholdParams.from_exponents(0.8, 0.6, 0.1, 8)
-        mu = fr.DiscreteMeasure(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]), uniform=True)
+        mu = fr.DiscreteMeasure(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
         field = inc.multiplicity_field(mu, 2.0 ** (-8), 8)
         st = inc.low_multiplicity_subset(0, field, params)
         delta = 2.0 ** (-8)
