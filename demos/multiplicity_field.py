@@ -44,10 +44,11 @@ print(f"mass integral: sum_w m(w) = {lhs:.6f} = sum_z weight * cells = {rhs:.6f}
 params = ThresholdParams.from_exponents(0.8, 0.6, 0.1, k1)
 print(f"\nthresholds: eta = {params.eta:.4f}, A = {params.a_param:.4f}, "
       f"lambda = {params.lam:.3e}, threshold = {params.threshold:.3e}")
-ratios = [low_multiplicity_subset(i, field, params).area_ratio for i in range(len(v.cloud))]
+s1 = field.per_atom_counts
+ratios = low_multiplicity_subset(field, params.threshold) / s1
 print(f"low-multiplicity area ratio |S2|/|S1|: mean {np.mean(ratios):.3f}, "
-      f"min {min(ratios):.3f} (reported statistic; 1.0 means the threshold "
+      f"min {ratios.min():.3f} (reported statistic; 1.0 means the threshold "
       f"exceeds every multiplicity at this scale)")
-st = low_multiplicity_subset(0, field, params)
-print(f"circle 0: |S1| = {st.s1_count} cells (area {st.s1_area:.3e} >= "
-      f"reference {st.s1_area_reference:.3e})")
+g = 2.0 ** (-k1)
+print(f"circle 0: |S1| = {s1[0]} cells (area {s1[0] * g * g:.3e} >= "
+      f"reference {params.s1_area_reference:.3e})")

@@ -65,7 +65,6 @@ from .incidence import (
     ArcTriple,
     C0_DEFAULT,
     CoverGrid,
-    LowMultiplicityStats,
     MultiplicityField,
     ThresholdParams,
     TripleIndex,

@@ -353,14 +353,14 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
     mu = fr.frostman_measure(v).scaled(1.0 / (k1 * k1))
     field = inc.multiplicity_field(mu, delta, grid_k)
     write_cells_m(os.path.join(outdir, "cells_m.csv"), field)
-    ratio_rows = []
-    for idx in range(len(v)):
-        st = inc.low_multiplicity_subset(idx, field, params)
-        ratio_rows.append((idx, st.s1_count, st.s2_count, st.area_ratio, st.threshold))
+    s1 = field.per_atom_counts
+    s2 = inc.low_multiplicity_subset(field, params.threshold)
+    ratios = np.divide(s2, s1, out=np.zeros(len(v)), where=s1 > 0)
     fr.write_csv(
         os.path.join(outdir, "s2_ratios.csv"),
         "z_index,s1_cells,s2_cells,ratio,threshold",
-        ratio_rows,
+        zip(range(len(v)), s1.tolist(), s2.tolist(), ratios.tolist(),
+            [params.threshold] * len(v)),
     )
     lhs = math.fsum(field.values.tolist())
     rhs = math.fsum((mu.weights * field.per_atom_counts).tolist())
@@ -387,7 +387,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
         "threshold": params.threshold,
         "lambda": params.lam,
         "eta": params.eta,
-        "mean_s2_ratio": float(np.mean([r[3] for r in ratio_rows])),
+        "mean_s2_ratio": float(np.mean(ratios)),
     }
 
 

@@ -1,5 +1,5 @@
 """Counting machinery: dyadic box counts, arc trisection, triple indices,
-and annulus multiplicity fields.
+annulus multiplicity fields and each circle's low-multiplicity cell count.
 
 Cells are half-open dyadic squares [i*2^-k, (i+1)*2^-k) anchored at the
 origin; a cell is incident to an arc when it contains a cloud point of the
@@ -362,22 +362,17 @@ class MultiplicityField:
     """Multiplicity values m(w) at the centers w of the annulus cells.
 
     ``cells`` is the (n, 2) int64 array of every cell some annulus meets, in
-    lexicographic order; ``values`` (m) and ``incidences`` (the number of
-    covering atoms) are (n,) arrays aligned with it.  ``positions`` holds
-    each atom's annulus cells as indices into ``cells``, in lexicographic
-    order, concatenated in atom order; ``per_atom_counts`` gives each atom's
-    share and ``atom_starts`` where it starts.  Every value is the
-    left-to-right float sum of its covering atoms' weights in ascending atom
-    order, so reruns agree bit for bit.
+    lexicographic order, and ``values`` (m) the (n,) array aligned with it.
+    ``positions`` holds each atom's annulus cells as indices into ``cells``,
+    in lexicographic order, concatenated in atom order; ``per_atom_counts``
+    gives each atom's share.  Every value is the left-to-right float sum of
+    its covering atoms' weights in ascending atom order, so reruns agree bit
+    for bit.
     """
 
-    delta: float
-    grid_k: int
     cells: np.ndarray
     values: np.ndarray
-    incidences: np.ndarray
     per_atom_counts: np.ndarray
-    atom_starts: np.ndarray
     positions: np.ndarray
 
     @property
@@ -408,7 +403,10 @@ def _annulus_cells(atoms: np.ndarray, delta: float, g: float):
     n_rows = np.floor((cy + r_out) / g).astype(np.int64) - iy_lo + 1
     atom, iy = _runs(iy_lo, n_rows)
     dy = (iy + 0.5) * g - cy[atom]
-    out2 = r_out[atom] ** 2 - dy ** 2
+    # on a grid coarse enough that a cell center lies ~1e154 from the annuli,
+    # dy ** 2 overflows to inf; the row then fails its test, which is exact
+    with np.errstate(over="ignore"):
+        out2 = r_out[atom] ** 2 - dy ** 2
     live = out2 >= 0.0
     atom, iy, dy, out2 = atom[live], iy[live], dy[live], out2[live]
     x = cx[atom]
@@ -437,18 +435,13 @@ def multiplicity_field(measure: DiscreteMeasure, delta: float, grid_k: int) -> M
     The accumulation happens in ascending atom order.
     """
     atom, keys = _annulus_cells(measure.points, delta, 2.0 ** (-grid_k))
-    counts = np.bincount(atom, minlength=len(measure))
     uniq, _, _ = _unique_runs(keys)
     pos = np.searchsorted(uniq, keys)
     # bincount adds in input order, which is atom-major
     return MultiplicityField(
-        delta=delta,
-        grid_k=grid_k,
         cells=_unpack(uniq, 2),
         values=np.bincount(pos, weights=measure.weights[atom], minlength=uniq.size),
-        incidences=np.bincount(pos, minlength=uniq.size),
-        per_atom_counts=counts,
-        atom_starts=np.cumsum(counts) - counts,
+        per_atom_counts=np.bincount(atom, minlength=len(measure)),
         positions=pos,
     )
 
@@ -466,23 +459,25 @@ def annulus_cell_count(atom, delta: float, g: float) -> int:
     count = 0
     for rows in np.array_split(iy, -(-iy.size * ix.size // (1 << 18))):  # ~256k cells a pass
         dy = (rows + 0.5) * g - cy
-        count += int(np.count_nonzero(np.abs(np.hypot(dx[None, :], dy[:, None]) - r) <= delta))
+        # at grid_k = -1023 a corner cell's hypot overflows to inf, which
+        # fails the test, the exact answer there
+        with np.errstate(over="ignore"):
+            dist = np.hypot(dx[None, :], dy[:, None])
+        count += int(np.count_nonzero(np.abs(dist - r) <= delta))
     return count
 
 
 @dataclass
 class ThresholdParams:
-    """Low-multiplicity thresholding parameters."""
+    """Low-multiplicity thresholding parameters, derived from the exponents
+    s', t', epsilon, the scale k1 and the area constant c0, and the reference
+    delta^(2-s') / (4^s' k1^2) for the area of a circle's annulus cells."""
 
-    s_prime: float
-    t_prime: float
-    epsilon: float
-    k1: int
-    c0: float
     eta: float
     a_param: float
     lam: float
     threshold: float
+    s1_area_reference: float
 
     @classmethod
     def from_exponents(
@@ -502,50 +497,20 @@ class ThresholdParams:
         if not (0.0 < lam <= 1.0):
             raise ValueError("lambda escaped (0, 1]")
         return cls(
-            s_prime=s_prime,
-            t_prime=t_prime,
-            epsilon=epsilon,
-            k1=k1,
-            c0=c0,
             eta=eta,
             a_param=a_param,
             lam=lam,
             threshold=threshold,
+            s1_area_reference=delta ** (2.0 - s_prime) / (4.0 ** s_prime * k1 * k1),
         )
 
 
-@dataclass
-class LowMultiplicityStats:
-    """Reported statistics for one circle's low-multiplicity cells."""
-
-    s1_count: int
-    s2_count: int
-    area_ratio: float
-    s1_area: float
-    s1_area_reference: float
-    threshold: float
-
-
-def low_multiplicity_subset(
-    atom_idx: int, field: MultiplicityField, params: ThresholdParams
-) -> LowMultiplicityStats:
-    """Counts of the atom's annulus cells (S1) and of those with
-    multiplicity strictly below the threshold (S2), plus area statistics.
-    The 1/2 area ratio is a reported statistic, not an asserted invariant."""
-    start = int(field.atom_starts[atom_idx])
-    s1_count = int(field.per_atom_counts[atom_idx])
-    low = field.values[field.positions[start : start + s1_count]] < params.threshold
-    g = 2.0 ** (-field.grid_k)
-    delta = field.delta
-    s1_area = s1_count * g * g
-    reference = delta ** (2.0 - params.s_prime) / (
-        4.0 ** params.s_prime * params.k1 * params.k1
-    )
-    return LowMultiplicityStats(
-        s1_count=s1_count,
-        s2_count=int(low.sum()),
-        area_ratio=float(low.sum()) / s1_count if s1_count else 0.0,
-        s1_area=s1_area,
-        s1_area_reference=reference,
-        threshold=params.threshold,
-    )
+def low_multiplicity_subset(field: MultiplicityField, threshold: float) -> np.ndarray:
+    """|S2| of every atom: the number of its annulus cells (S1, counted by
+    ``field.per_atom_counts``) whose multiplicity lies strictly below the
+    threshold, as an int64 array in atom order, from one pass over the
+    incidences.  The ratio |S2|/|S1| is a reported statistic, not asserted."""
+    n_atoms = field.per_atom_counts.size
+    atom_of_incidence = np.repeat(np.arange(n_atoms), field.per_atom_counts)
+    low = field.values[field.positions] < threshold
+    return np.bincount(atom_of_incidence[low], minlength=n_atoms)

@@ -186,12 +186,17 @@ def test_out_of_range_field_exit2(field, tmp_path, monkeypatch):
 
 
 # the edges of those ranges still run: the largest cell side a float holds,
-# and negative scales next to a finest scale of 0
+# and negative scales next to a finest scale of 0.  From grid_k = -513 on, a
+# cell center lies ~1e154 or more from the annuli, and its square (at -1023
+# a hypot too) overflows; the overflow gives the exact answer, 0 cells, and
+# must not warn on stderr
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command,config",
     [("multiplicity", lambda d: {"v": str(d / "v.csv"), "grid_k": -1023}),
+     ("multiplicity", lambda d: {"v": str(d / "v.csv"), "grid_k": -513}),
      ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"), "k_range": [-2, -1, 0]})],
-    ids=["grid_k--1023", "k_range-finest-0"],
+    ids=["grid_k--1023", "grid_k--513", "k_range-finest-0"],
 )
 def test_range_edge_exit0(command, config, tmp_path):
     fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
@@ -343,6 +348,34 @@ class TestMultiplicity:
         assert run(["multiplicity", "--config", cfg, "--out", tmp_path / "m_out"]) == 0
         summary = json.loads((tmp_path / "m_out" / "summary.json").read_text())
         assert summary["fubini_incidences_exact"] is False
+
+    def test_fractional_s2_ratios(self, tmp_path):
+        # five nearby unit circles: every annulus has cells on both sides of
+        # the threshold, so each ratio lies strictly inside (0, 1)
+        atoms = np.array([[0.0, 0.0, 1.0], [0.01, 0.0, 1.0], [0.02, 0.0, 1.0],
+                          [0.0, 0.01, 1.0], [0.0, 0.0, 1.01]])
+        fr.save_csv(fr.PointCloud(atoms, 6), tmp_path / "v.csv")
+        cfg = write_json(tmp_path / "m.json", {"v": str(tmp_path / "v.csv"), "t_prime": 1.0,
+                                               "epsilon": 0.1, "c0": 0.002})
+        assert run(["multiplicity", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        threshold = inc.ThresholdParams.from_exponents(0.75, 1.0, 0.1, 6, c0=0.002).threshold
+        # brute force over every cell of side delta in [-2, 2)^2: m adds the
+        # covering atoms' weights in atom order, as the field does
+        delta = 2.0 ** -6
+        ix = np.arange(-128, 128)
+        w = (np.stack(np.meshgrid(ix, ix), axis=-1).reshape(-1, 2) + 0.5) * delta
+        mine = np.abs(np.hypot(w[:, :1] - atoms[:, 0], w[:, 1:] - atoms[:, 1]) - atoms[:, 2])
+        mine = mine <= delta
+        m = np.zeros(len(w))
+        for j in range(len(atoms)):
+            m = m + np.where(mine[:, j], 1.0 / 5.0 / 36.0, 0.0)
+        lines = (tmp_path / "o" / "s2_ratios.csv").read_text().splitlines()
+        assert lines[0] == "z_index,s1_cells,s2_cells,ratio,threshold"
+        assert len(lines) == 1 + len(atoms)
+        for i, line in enumerate(lines[1:]):
+            s1, s2 = int(mine[:, i].sum()), int((mine[:, i] & (m < threshold)).sum())
+            assert line == f"{i},{s1},{s2},{s2 / s1!r},{threshold!r}"
+            assert 0.0 < s2 / s1 < 1.0
 
     @pytest.mark.parametrize("c0", [0, -1.0])
     def test_c0_not_positive_exit2(self, c0, tmp_path):

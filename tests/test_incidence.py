@@ -1,10 +1,9 @@
-import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -490,12 +489,34 @@ class TestMultiplicity:
         v = gen.generate_parameter_set(cfg)
         mu = fr.frostman_measure(v.cloud)
         field = inc.multiplicity_field(mu, cfg.delta, 7)
-        assert sum(field.incidences.tolist()) == int(field.per_atom_counts.sum())
+        # every atom's cells, recounted without the field's row and branch pruning
+        assert field.per_atom_counts.tolist() == [
+            inc.annulus_cell_count(atom, cfg.delta, 2.0 ** -7) for atom in mu.points
+        ]
         lhs = math.fsum(field.values.tolist())
         rhs = math.fsum(
             float(mu.weights[i]) * int(field.per_atom_counts[i]) for i in range(len(mu))
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def per_atom_low_multiplicity(atom_idx, field, threshold):
+    """(|S1|, |S2|, |S2|/|S1|) of one atom's annulus cells, counted from its
+    own slice of the incidences; the ratio is 0.0 for an atom without cells.
+    The per-atom reference for low_multiplicity_subset."""
+    start = int(field.per_atom_counts[:atom_idx].sum())
+    s1_count = int(field.per_atom_counts[atom_idx])
+    low = field.values[field.positions[start : start + s1_count]] < threshold
+    return s1_count, int(low.sum()), float(low.sum()) / s1_count if s1_count else 0.0
+
+
+def low_multiplicity_rows(field, threshold):
+    """(|S1|, |S2|, ratio) of every atom as the multiplicity command writes
+    them: the ratio is 0.0 for an atom without cells."""
+    s1 = field.per_atom_counts
+    s2 = inc.low_multiplicity_subset(field, threshold)
+    ratios = np.divide(s2, s1, out=np.zeros(s1.size), where=s1 > 0)
+    return list(zip(s1.tolist(), s2.tolist(), ratios.tolist()))
 
 
 class TestThresholds:
@@ -518,9 +539,9 @@ class TestThresholds:
         field = inc.multiplicity_field(mu, 2.0 ** (-7), 7)
         params = inc.ThresholdParams.from_exponents(0.8, 0.6, 0.1, 7)
         assert params.threshold > 1.0
-        st = inc.low_multiplicity_subset(0, field, params)
-        assert st.s2_count == st.s1_count
-        assert st.area_ratio == 1.0
+        [(s1, s2, ratio)] = low_multiplicity_rows(field, params.threshold)
+        assert s2 == s1
+        assert ratio == 1.0
 
     def test_disjoint_family_low_multiplicity(self):
         mu = fr.DiscreteMeasure(
@@ -530,10 +551,11 @@ class TestThresholds:
         field = inc.multiplicity_field(mu, 2.0 ** (-7), 7)
         params = inc.ThresholdParams.from_exponents(0.9, 0.5, 0.2, 7)
         assert params.threshold > 1.0 / 3.0
-        for idx in range(3):
-            st = inc.low_multiplicity_subset(idx, field, params)
-            assert st.area_ratio == 1.0
-            assert st.s1_area >= 0.0
+        rows = low_multiplicity_rows(field, params.threshold)
+        assert len(rows) == 3
+        for s1, _, ratio in rows:
+            assert ratio == 1.0
+            assert s1 * (2.0 ** -7) ** 2 >= 0.0
 
     def test_threshold_between_multiplicities(self):
         # three overlapping annuli with distinct weights; the threshold sits
@@ -543,33 +565,71 @@ class TestThresholds:
             np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.05]]),
             np.array([0.2, 0.3, 0.4]),
         )
-        delta, grid_k = 2.0 ** (-6), 6
+        delta, grid_k, threshold = 2.0 ** (-6), 6, 0.45
         field = inc.multiplicity_field(mu, delta, grid_k)
-        params = dataclasses.replace(
-            inc.ThresholdParams.from_exponents(0.8, 0.6, 0.1, 6), threshold=0.45
-        )
         values = sorted(set(field.values.tolist()))
-        assert any(lo < params.threshold < hi for lo, hi in zip(values, values[1:]))
+        assert any(lo < threshold < hi for lo, hi in zip(values, values[1:]))
         # recount each atom's cells and its cells below the threshold
         brute = brute_multiplicity(mu, delta, grid_k, ((-2.3, -2.3), (2.3, 2.3)))
         cells = np.array(list(brute))
         m = np.array(list(brute.values()))
         g = 2.0 ** (-grid_k)
+        rows = low_multiplicity_rows(field, threshold)
         for idx, (cx, cy, r) in enumerate(mu.points):
             dist = np.hypot((cells[:, 0] + 0.5) * g - cx, (cells[:, 1] + 0.5) * g - cy)
             mine = np.abs(dist - r) <= delta
-            s1, s2 = int(mine.sum()), int((m[mine] < params.threshold).sum())
+            s1, s2 = int(mine.sum()), int((m[mine] < threshold).sum())
             assert 0 < s2 < s1
-            st = inc.low_multiplicity_subset(idx, field, params)
-            assert (st.s1_count, st.s2_count, st.area_ratio) == (s1, s2, s2 / s1)
+            assert rows[idx] == (s1, s2, s2 / s1)
 
     def test_sim2_reference_area(self):
         params = inc.ThresholdParams.from_exponents(0.8, 0.6, 0.1, 8)
         mu = fr.DiscreteMeasure(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
         field = inc.multiplicity_field(mu, 2.0 ** (-8), 8)
-        st = inc.low_multiplicity_subset(0, field, params)
         delta = 2.0 ** (-8)
         expect = delta ** (2 - 0.8) / (4 ** 0.8 * 64)
-        assert st.s1_area_reference == pytest.approx(expect)
+        assert params.s1_area_reference == pytest.approx(expect)
         # the annulus area itself dominates the reference lower bound
-        assert st.s1_area >= expect
+        assert int(field.per_atom_counts[0]) * delta * delta >= expect
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k1=st.integers(5, 7),
+        dk=st.sampled_from([-1, 1]),
+        atoms=st.lists(
+            st.tuples(
+                st.just(0.0) | st.floats(-0.17, 0.17),
+                st.floats(-0.17, 0.17),
+                st.floats(0.5, 2.0),
+                st.floats(0.01, 1.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        mass=st.floats(0.1, 1.0),
+        tiny=st.none() | st.floats(0.0, 0.99),
+    )
+    @example(k1=5, dk=-1, atoms=[(0.0, 0.0, 1.0, 0.5)], mass=0.5, tiny=None)
+    def test_one_pass_matches_per_atom_counts(self, k1, dk, atoms, mass, tiny):
+        # the measures of test_random_measures_match_brute_force_exactly, plus
+        # an atom of radius 0.3 delta centred at the cell corner (0, 0): on a
+        # grid coarser than delta every cell center lies sqrt(2) delta from it,
+        # beyond r + delta, so it has no cells and its ratio is 0.0
+        delta = 2.0 ** (-k1)
+        rows = [(cx, cy, r) for cx, cy, r, _ in atoms] + [(0.0, 0.0, 0.3 * delta)]
+        raw = [w for *_, w in atoms] + [atoms[0][3]]
+        if tiny is not None:
+            rows.append((rows[0][1], rows[0][0], tiny * delta))
+            raw.append(raw[0] / 3.0)
+        weights = np.array(raw) / math.fsum(raw) * mass
+        mu = fr.DiscreteMeasure(np.array(rows), weights)
+        field = inc.multiplicity_field(mu, delta, k1 + dk)
+        if dk < 0:
+            assert field.per_atom_counts[len(atoms)] == 0
+        # thresholds at, between and outside the distinct multiplicities; the
+        # test is strict, so a threshold at a value leaves that value out
+        m = sorted(set(field.values.tolist()))
+        between = [(lo + hi) / 2.0 for lo, hi in zip(m, m[1:])]
+        for threshold in m + between + [0.0, m[0] / 2.0, m[-1] * 2.0, math.inf]:
+            expect = [per_atom_low_multiplicity(i, field, threshold) for i in range(len(mu))]
+            assert low_multiplicity_rows(field, threshold) == expect
