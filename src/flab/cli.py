@@ -277,7 +277,7 @@ def cmd_triples(
         raise DegenerateExperiment(
             f"arc extraction failed on {failures}/{n} circles (> 10%)"
         )
-    grid = inc.box_count(fset.cloud, cfg.k1)
+    n_cells = inc.box_counts_streaming([fset.cloud.points], [cfg.k1])[cfg.k1]
     t_index = inc.build_triple_index(data, cfg.k1)
     cover_counts = t_index.counts
     reference = inc.step4_reference_count(s_prime, cfg.k1)
@@ -289,16 +289,16 @@ def cmd_triples(
     nonempty = cover_counts[cover_counts.sum(axis=1) > 0]
     taus = [t.tau for t, _ in data if t is not None]
     tau = min(taus) if taus else float("nan")
-    ratio = inc.triple_upper_ratio(t_index, grid.count, tau) if taus else float("nan")
+    ratio = inc.triple_upper_ratio(t_index, n_cells, tau) if taus else float("nan")
     fr.write_csv(
         os.path.join(outdir, "triples.csv"),
         "k1,n_cells,n_triples,tau,ratio",
-        [(cfg.k1, grid.count, t_index.count, tau, ratio)],
+        [(cfg.k1, n_cells, t_index.count, tau, ratio)],
     )
     log.info(
         "triples: #T=%d cells=%d tau=%.3g ratio=%.3g failures=%d/%d",
         t_index.count,
-        grid.count,
+        n_cells,
         tau,
         ratio,
         failures,
@@ -308,7 +308,7 @@ def cmd_triples(
         "command": "triples",
         "n_circles": n,
         "failures": failures,
-        "n_cells": grid.count,
+        "n_cells": n_cells,
         "n_triples": t_index.count,
         "tau": tau,
         "ratio": ratio,

@@ -27,6 +27,17 @@ from .errors import ConfigInvalid, DegenerateTriangle, EmptyInput
 from .geometry import _hull_vertices, circumcenter
 
 
+def _check_key_range(lo, hi, dim: int) -> None:
+    """Raise ConfigInvalid unless cell indices in [lo, hi] fit the 63 // dim
+    bits per axis of a `dim`-axis key."""
+    bits = 63 // dim
+    if lo < -(1 << (bits - 1)) or hi >= 1 << (bits - 1):
+        raise ConfigInvalid(
+            f"cell index outside [-2^{bits - 1}, 2^{bits - 1}): scale too fine "
+            f"for the coordinate range"
+        )
+
+
 def _pack(idx: np.ndarray) -> np.ndarray:
     """Pack (n, d) integer cell indices into scalar int64 keys.
 
@@ -37,11 +48,8 @@ def _pack(idx: np.ndarray) -> np.ndarray:
     """
     bits = 63 // idx.shape[1]
     half = 1 << (bits - 1)
-    if idx.size and (idx.min() < -half or idx.max() >= half):
-        raise ConfigInvalid(
-            f"cell index outside [-2^{bits - 1}, 2^{bits - 1}): scale too fine "
-            f"for the coordinate range"
-        )
+    if idx.size:
+        _check_key_range(idx.min(), idx.max(), idx.shape[1])
     key = idx[:, 0].astype(np.int64) + half
     for axis in range(1, idx.shape[1]):
         key = (key << bits) | (idx[:, axis] + half)

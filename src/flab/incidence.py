@@ -19,6 +19,7 @@ from .errors import DegenerateFit, EmptyInput, InsufficientContent
 from .fractal import (
     DiscreteMeasure,
     PointCloud,
+    _check_key_range,
     _content_scales,
     _pack,
     _unique_runs,
@@ -60,26 +61,102 @@ def box_count(cloud_or_points, k: int) -> CoverGrid:
 
 
 _MERGE_EVERY = 1 << 22  # buffered chunk cells between merges into the columns
+# A dense grid may hold up to max(_GRID_CELLS, _GRID_CELLS_PER_POINT x points
+# streamed so far) cells: at a byte a cell, no more than the int64 key per
+# point that the key path may hold.
+_GRID_CELLS = 1 << 22
+_GRID_CELLS_PER_POINT = 8
+
+
+def _grid_counts(grid: np.ndarray, ks) -> dict:
+    """Occupied cells of a bool grid at scale ks[-1] and at each coarser k in
+    ks.  A coarser cell is the OR of a 2x2 block of finer ones, so both sides
+    of the grid must be multiples of 2^(ks[-1] - ks[0])."""
+    counts = dict.fromkeys(ks, 0)
+    for k in range(ks[-1], ks[0] - 1, -1):
+        if k < ks[-1]:
+            coarse = grid[0::2, 0::2] | grid[1::2, 0::2]
+            coarse |= grid[0::2, 1::2]
+            coarse |= grid[1::2, 1::2]
+            grid = coarse
+        if k in ks:
+            counts[k] = int(np.count_nonzero(grid))
+    return counts
 
 
 def box_counts_streaming(chunks, ks) -> dict:
     """Box counts N(2^-k) for several k over a stream of point chunks.
 
-    Only the finest scale is read from the points.  Each chunk's cells are
-    deduplicated, buffered, and merged into the sorted cell keys of their
-    column at the coarsest scale.  Every coarser count then follows exactly
-    from the finest cells by a right shift, floor(x 2^k) == floor(x 2^(k+1))
-    >> 1 (the hierarchical box count of Liebovitch & Toth, 1989).  Cells in
-    different coarsest columns never share a coarser cell, so each column is
-    counted on its own and memory stays near one key per finest cell.
+    Only the finest scale is read from the points; every coarser count
+    follows exactly from the finest cells, since floor(x 2^k) ==
+    floor(x 2^(k+1)) >> 1 (the hierarchical box count of Liebovitch & Toth,
+    1989).  The finest cells are held in one of two forms:
+
+    - a grid: one bool per cell over the running bounding box of the cells,
+      its corner and sides multiples of 2^(max(ks) - min(ks)) cells so that
+      each coarser cell is a 2x2 block.  When a chunk reaches past it, it
+      grows by a quarter of its extent on that side, or just far enough if
+      the margin would break the size limit below.  A chunk is one scatter
+      into it, and a coarser scale one OR of four strided slices.
+    - keys: each chunk's cells are deduplicated, buffered, and merged into
+      the sorted cell keys of their column at the coarsest scale.  Cells in
+      different coarsest columns never share a coarser cell, so each column
+      is counted on its own and memory stays near one key per finest cell.
+
+    2-D points start on the grid and keep it while it holds at most
+    max(_GRID_CELLS, _GRID_CELLS_PER_POINT x points streamed so far) cells.
+    A chunk that would grow it past that hands every cell over to keys, and
+    after each merge the keys go back to a grid if one that size covers
+    them.  Points of any other dimension use keys.  Either way a finest
+    index that does not fit a key raises ConfigInvalid.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
         return {}
     top, span = ks[-1], ks[-1] - ks[0]
-    dim = 2
+    dim = None
+    points = 0
+    lo = hi = None  # bounding box of the finest cells so far, per axis
+    grid = corner = None  # the grid and the cell at grid[0, 0]; None on keys
     columns = {}
     pending = []
+
+    def cover() -> bool:
+        """Make the grid cover lo..hi, keeping its cells; False when that
+        grid would be over the size limit."""
+        nonlocal grid, corner
+        box_lo = [(v >> span) << span for v in lo]
+        box_hi = [((v >> span) + 1) << span for v in hi]
+        boxes = []
+        if grid is not None:
+            end = [c + n for c, n in zip(corner, grid.shape)]
+            if all(c <= a for c, a in zip(corner, box_lo)) and all(
+                b <= e for b, e in zip(box_hi, end)
+            ):
+                return True
+            box_lo, box_hi = list(map(min, box_lo, corner)), list(map(max, box_hi, end))
+            margin = [(b - a) // 4 >> span << span for a, b in zip(box_lo, box_hi)]
+            boxes.append((
+                [a - m if a < c else a for a, c, m in zip(box_lo, corner, margin)],
+                [b + m if b > e else b for b, e, m in zip(box_hi, end, margin)],
+            ))
+        boxes.append((box_lo, box_hi))
+        limit = max(_GRID_CELLS, _GRID_CELLS_PER_POINT * points)
+        for box_lo, box_hi in boxes:
+            shape = (box_hi[0] - box_lo[0], box_hi[1] - box_lo[1])
+            if shape[0] * shape[1] <= limit:
+                wider = np.zeros(shape, dtype=bool)
+                if grid is not None:
+                    x, y = corner[0] - box_lo[0], corner[1] - box_lo[1]
+                    wider[x : x + grid.shape[0], y : y + grid.shape[1]] = grid
+                grid, corner = wider, box_lo
+                return True
+        return False
+
+    def scatter(idx):
+        flat = (idx[:, 0] - corner[0]) * grid.shape[1]
+        flat += idx[:, 1] - corner[1]
+        grid.ravel()[flat] = True
 
     def merge():
         fresh, _, _ = _unique_runs(np.concatenate(pending))
@@ -90,14 +167,37 @@ def box_counts_streaming(chunks, ks) -> dict:
             if c in columns:
                 part, _, _ = _unique_runs(np.concatenate([columns[c], part]))
             columns[c] = part
+        if dim == 2 and cover():
+            for keys in columns.values():
+                scatter(_unpack(keys, 2))
+            columns.clear()
 
     buffered = 0
     for chunk in chunks:
         pts = np.asarray(chunk, dtype=float)
         if pts.size == 0:
             continue
-        dim = pts.shape[1]
-        keys, _, _ = _unique_runs(_pack(np.floor(pts * (1 << top)).astype(np.int64)))
+        if dim is None:
+            dim = pts.shape[1]
+        elif pts.shape[1] != dim:
+            raise ValueError(f"a chunk of {pts.shape[1]}-D points among {dim}-D ones")
+        idx = np.floor(pts * (1 << top)).astype(np.int64)
+        # per column: numpy reduces an (n, d) array along axis 0 ~25x slower
+        chunk_lo, chunk_hi = [int(c.min()) for c in idx.T], [int(c.max()) for c in idx.T]
+        _check_key_range(min(chunk_lo), max(chunk_hi), dim)
+        lo = chunk_lo if lo is None else list(map(min, lo, chunk_lo))
+        hi = chunk_hi if hi is None else list(map(max, hi, chunk_hi))
+        points += len(idx)
+        if grid is not None or (dim == 2 and not columns and not pending):
+            if cover():
+                scatter(idx)
+                continue
+            if grid is not None:
+                rows, cols = np.divmod(np.flatnonzero(grid), grid.shape[1])
+                pending.append(_pack(np.column_stack([rows + corner[0], cols + corner[1]])))
+                buffered += pending[-1].size
+                grid = None
+        keys, _, _ = _unique_runs(_pack(idx))
         pending.append(keys)
         buffered += keys.size
         if buffered >= _MERGE_EVERY:
@@ -105,6 +205,8 @@ def box_counts_streaming(chunks, ks) -> dict:
             buffered = 0
     if pending:
         merge()
+    if grid is not None:
+        return _grid_counts(grid, ks)
     counts = dict.fromkeys(ks, 0)
     for keys in columns.values():
         cells, finer = _unpack(keys, dim), top

@@ -274,6 +274,15 @@ class TestBoxdim:
         )
         assert run(["boxdim", "--config", cfg, "--out", tmp_path / "o"]) == 3
 
+    def test_one_cell_beyond_key_range_exit3(self, tmp_path):
+        # every point in the cell of index 2^31 at k = 31, one bit past a key
+        fr.save_csv(fr.PointCloud(np.ones((3, 2)), 6), tmp_path / "ones.csv")
+        cfg = write_json(
+            tmp_path / "bd.json", {"cloud": str(tmp_path / "ones.csv"), "k_range": [29, 30, 31]}
+        )
+        assert run(["boxdim", "--config", cfg, "--out", tmp_path / "o"]) == 3
+        assert not (tmp_path / "o" / "boxdim.csv").exists()
+
 
 class TestLemma3c:
     def test_suite_reports_zero_violations(self, tmp_path):

@@ -16,6 +16,9 @@ from flab.generators import FurstenbergConfig
 from flab.geometry import CircleParam
 
 
+KEYS_ONLY = {"_GRID_CELLS": 0, "_GRID_CELLS_PER_POINT": 0}  # no grid in box_counts_streaming
+
+
 def brute_box_count(pts, k):
     cells = set()
     scale = 2 ** k
@@ -87,8 +90,61 @@ class TestBoxCount:
         chunks = np.split(pts, sorted(set(cuts)))
         direct = {k: inc.box_count(pts, k).count for k in set(ks)}
         assert inc.box_counts_streaming(chunks, ks) == direct
-        with mock.patch.object(inc, "_MERGE_EVERY", 1):  # merge after every chunk
+        with mock.patch.multiple(inc, _MERGE_EVERY=1, **KEYS_ONLY):  # merge after every chunk
             assert inc.box_counts_streaming(chunks, ks) == direct
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 300), st.sampled_from([2, 3])),
+               elements=st.floats(-2.0, 2.0)),
+        st.lists(st.integers(0, 300), max_size=6),
+        st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        st.sampled_from([None, 8.0, -1e3, 3e3]),
+    )
+    def test_grid_and_keys_agree_on_any_split(self, pts, cuts, ks, far):
+        # Repeated cuts give empty chunks.  Under the module's own limit the
+        # bounded points fit a grid at k <= 8, so a far point in a late chunk
+        # hands that grid over to keys.
+        chunks = np.split(pts, sorted(cuts))
+        if far is not None:
+            chunks.append(np.full((1, pts.shape[1]), far))
+        every = np.concatenate(chunks)
+        direct = {k: inc.box_count(every, k).count for k in set(ks)}
+        for limits in (
+            KEYS_ONLY,
+            {"_GRID_CELLS": inc._GRID_CELLS},  # a grid from the first chunk while it fits
+            # keys first, then a grid after each merge that 8 cells a point covers
+            {"_GRID_CELLS": 64, "_GRID_CELLS_PER_POINT": 8, "_MERGE_EVERY": 1},
+        ):
+            with mock.patch.multiple(inc, **limits):
+                assert inc.box_counts_streaming(chunks, ks) == direct, limits
+
+    def test_far_point_hands_grid_over_to_keys(self):
+        rng = np.random.default_rng(4)
+        near = rng.uniform(-1, 1, (2000, 2))
+        far = np.array([[300.0, -300.0]])
+        ks = [5, 6, 7, 8]
+        direct = {k: inc.box_count(np.vstack([near, far]), k).count for k in ks}
+        with mock.patch.object(inc, "_grid_counts", wraps=inc._grid_counts) as grid_counts:
+            assert inc.box_counts_streaming([near], ks) == {k: direct[k] - 1 for k in ks}
+            assert grid_counts.call_count == 1
+            assert inc.box_counts_streaming([near, far], ks) == direct
+            assert grid_counts.call_count == 1  # counted from keys
+
+    def test_keys_hand_over_to_grid_at_a_merge(self):
+        rng = np.random.default_rng(5)
+        corners = np.array([[-2.0, -2.0], [2.0, 2.0]])
+        fill = rng.uniform(-2, 2, (20000, 2))
+        ks = [4, 5, 6]
+        direct = {k: inc.box_count(np.vstack([corners, fill]), k).count for k in ks}
+        # the corners alone need a 260^2-cell grid at k = 6, over 8 cells a point
+        with mock.patch.multiple(inc, _GRID_CELLS=1000, _MERGE_EVERY=1), mock.patch.object(
+            inc, "_grid_counts", wraps=inc._grid_counts
+        ) as grid_counts:
+            assert inc.box_counts_streaming([corners], ks) == {k: 2 for k in ks}
+            assert grid_counts.call_count == 0
+            assert inc.box_counts_streaming([corners, fill], ks) == direct
+            assert grid_counts.call_count == 1
 
     def test_3d_cells_four_apart_stay_distinct(self):
         pts = np.array([[0.0, 0.0, 1.0], [4 * 2.0 ** -8, 0.0, 1.0]])
@@ -100,6 +156,13 @@ class TestBoxCount:
             inc.box_count(pts, 31)
         with pytest.raises(ConfigInvalid):
             inc.box_counts_streaming([pts], [29, 30, 31])
+
+    def test_one_cell_beyond_key_range_raises(self):
+        pts = np.array([[1.0, 1.0], [1.0, 1.0]])  # one cell, index 2^31 at k = 31
+        with pytest.raises(ConfigInvalid):
+            inc.box_count(pts, 31)
+        with pytest.raises(ConfigInvalid):
+            inc.box_counts_streaming([pts], [31])
 
 
 class TestDimensionSlope:
