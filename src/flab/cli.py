@@ -139,7 +139,7 @@ def cmd_boxdim(config: dict, seed, outdir: str, cloud: fr.PointCloud = None) -> 
         raise EmptyInput("cloud file has no points")
     counts = inc.box_counts_streaming([cloud.points], k_range)
     pairs = sorted(counts.items())
-    fr.write_csv(os.path.join(outdir, "boxdim.csv"), "k,N", pairs)
+    fr.write_csv(os.path.join(outdir, "boxdim.csv"), "k,N", zip(*pairs))
     slope = inc.dimension_slope(pairs)
     out = {"command": "boxdim", "counts": {str(k): n for k, n in pairs}, "slope": slope}
     if s is not None:
@@ -172,7 +172,6 @@ def cmd_lemma3c(config: dict, seed, outdir: str) -> dict:
         seed = gen._json_int(config.get("seed", 0), "seed")
     rng = np.random.default_rng(seed)
     rows = []
-    violations = 0
     max_ratio = 0.0
     enumerated = 0
     for i in range(trials):
@@ -191,13 +190,12 @@ def cmd_lemma3c(config: dict, seed, outdir: str) -> dict:
             rows.append((i, c, a, "exact", diam, ratio, int(not ok)))
         else:
             ok = geo.w_region_diameter_within(frame, a, a / 10.0, bound)
-            rows.append((i, c, a, "certified", float("nan"), float("nan"), int(not ok)))
-        if not ok:
-            violations += 1
+            rows.append((i, c, a, "certified", math.nan, math.nan, int(not ok)))
+    violations = sum(row[-1] for row in rows)
     fr.write_csv(
         os.path.join(outdir, "lemma3c.csv"),
         "trial,c,a,method,diam,ratio,violation",
-        rows,
+        zip(*rows),
     )
     log.info(
         "lemma3c: %d trials, max ratio diam/(a/c^2) = %.4f over %d enumerated, "
@@ -246,15 +244,12 @@ def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
             else:
                 eta = float(eta_rule)
             triple = inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
-            data.append((triple, pts))
-            per_z_rows.append(
-                (idx, triple.contents[0], triple.contents[1], triple.contents[2], triple.tau)
-            )
+            per_z_rows.append((idx, *triple.contents, triple.tau))
         except InsufficientContent:
             failures += 1
-            data.append((None, pts))
-            nan = float("nan")
-            per_z_rows.append((idx, nan, nan, nan, nan))
+            triple = None
+            per_z_rows.append((idx, *[math.nan] * 4))
+        data.append((triple, pts))
     return data, failures, per_z_rows
 
 
@@ -270,7 +265,7 @@ def cmd_triples(
     fr.write_csv(
         os.path.join(outdir, "arcs.csv"),
         "z_index,content_plus,content_minus,content_times,tau",
-        per_z_rows,
+        zip(*per_z_rows),
     )
     n = len(data)
     if failures > 0.1 * n:
@@ -284,7 +279,7 @@ def cmd_triples(
     fr.write_csv(
         os.path.join(outdir, "arc_cells.csv"),
         "z_index,n_plus,n_minus,n_times",
-        [(i, int(r[0]), int(r[1]), int(r[2])) for i, r in enumerate(cover_counts)],
+        (range(len(cover_counts)), *cover_counts.T),
     )
     nonempty = cover_counts[cover_counts.sum(axis=1) > 0]
     taus = [t.tau for t, _ in data if t is not None]
@@ -293,7 +288,7 @@ def cmd_triples(
     fr.write_csv(
         os.path.join(outdir, "triples.csv"),
         "k1,n_cells,n_triples,tau,ratio",
-        [(cfg.k1, n_cells, t_index.count, tau, ratio)],
+        [[cfg.k1], [n_cells], [t_index.count], [tau], [ratio]],
     )
     log.info(
         "triples: #T=%d cells=%d tau=%.3g ratio=%.3g failures=%d/%d",
@@ -321,9 +316,8 @@ def write_cells_m(path, field: inc.MultiplicityField) -> None:
     """cells_m.csv; each distinct m, told apart by its bit pattern, is formatted once."""
     bits = field.values.view(np.int64)
     uniq, starts, order = fr._unique_runs(bits)
-    text = [repr(m) for m in field.values[order[starts]].tolist()]
-    m_text = map(text.__getitem__, np.searchsorted(uniq, bits).tolist())
-    fr.write_csv(path, "ix,iy,m", zip(*field.cells.T.tolist(), m_text))
+    text = np.array([repr(m) for m in field.values[order[starts]].tolist()], dtype=object)
+    fr.write_csv(path, "ix,iy,m", (*field.cells.T, text[np.searchsorted(uniq, bits)]))
 
 
 def _multiplicity_fields(config: dict, k1: int):
@@ -359,8 +353,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
     fr.write_csv(
         os.path.join(outdir, "s2_ratios.csv"),
         "z_index,s1_cells,s2_cells,ratio,threshold",
-        zip(range(len(v)), s1.tolist(), s2.tolist(), ratios.tolist(),
-            [params.threshold] * len(v)),
+        (range(len(v)), s1, s2, ratios, [params.threshold] * len(v)),
     )
     lhs = math.fsum(field.values.tolist())
     rhs = math.fsum((mu.weights * field.per_atom_counts).tolist())

@@ -17,7 +17,6 @@ usual small-cover regularization at scale delta).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -123,23 +122,31 @@ class PointCloud:
         return cloud
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Write `header`, then one comma-separated line per row of values.
+_CSV_BLOCK = 1 << 14  # rows per `%` format and write
 
-    Each value is written as its `str`, which for a Python float is its
-    repr, so floats round-trip bit-exactly.
-    """
+
+def write_csv(path, header: str, columns) -> None:
+    """Write `header`, then one line per row of `columns`: equal-length numpy
+    arrays (read through `tolist()`) or sequences.  Each value is written as
+    its `str`, for a float its repr, so floats round-trip bit-exactly.  Each
+    block of `_CSV_BLOCK` rows is one `%` format over a flat list, one write."""
+    columns = [c if isinstance(c, np.ndarray) else np.asarray(c, dtype=object) for c in columns]
+    width, n = len(columns), len(columns[0]) if columns else 0
+    line = "%s," * (width - 1) + "%s\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        for lo in range(0, n, _CSV_BLOCK):
+            rows = min(_CSV_BLOCK, n - lo)
+            flat = [None] * (width * rows)
+            for c, col in enumerate(columns):
+                flat[c::width] = col[lo:lo + rows].tolist()
+            fh.write((line * rows) % tuple(flat))
 
 
 def save_csv(cloud: PointCloud, path) -> None:
     """Write the canonical cloud CSV: header line `dim,k`, the values, then
     one point per line with repr-exact coordinates."""
-    rows = (row.tolist() for row in cloud.points)
-    write_csv(path, "dim,k", itertools.chain([(cloud.dim, cloud.k)], rows))
+    write_csv(path, f"dim,k\n{cloud.dim},{cloud.k}", cloud.points.T)
 
 
 def load_csv(path) -> PointCloud:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -463,3 +465,43 @@ class TestReport:
                     names.add(path.name)
                     assert path.read_bytes() == (rep / path.name).read_bytes(), path.name
         assert names == {p.name for p in rep.iterdir()}
+
+
+def file_digests(datadir):
+    """sha256 of each output file; summary.json is hashed without its
+    `wall_times` block, as perfbench/workloads.py fingerprints a run."""
+    out = {}
+    for path in sorted(datadir.iterdir()):
+        if path.name == "summary.json":
+            summary = json.loads(path.read_text())
+            summary.pop("wall_times", None)
+            blob = json.dumps(summary, sort_keys=True).encode()
+        else:
+            blob = path.read_bytes()
+        out[path.name] = hashlib.sha256(blob).hexdigest()
+    return out
+
+
+# sha256 of every output of the benchmark's workloads at seed 0, recorded
+# from the seed commit
+EXPECTED_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+)
+SEED_GEN = {"s": 1, "t": 1, "k1": 6, "preset": "concentric", "seed": 0}
+
+
+# A rerun only shows that a writer agrees with itself; these digests also
+# catch a change in how any value is formatted.
+@pytest.mark.parametrize(
+    "workload,command,config",
+    [
+        ("report-k6", "report", {"generator": SEED_GEN}),
+        ("triples-wide-k6", "triples", {"generator": SEED_GEN, "s_prime": 1.0, "eta_rule": 0.75}),
+        ("lemma3c-50", "lemma3c", {"trials": 50}),
+    ],
+)
+def test_outputs_match_seed_commit(workload, command, config, tmp_path):
+    cfg = write_json(tmp_path / "c.json", config)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--seed", 0, "--out", out]) == 0
+    assert file_digests(out) == EXPECTED_DIGESTS[workload]["0"]

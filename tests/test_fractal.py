@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,6 +184,47 @@ class TestCellKeys:
         assert len(fr.PointCloud.create(pts, 8)) == 2
 
 
+def write_csv_per_row(path, header, rows):
+    """One `str`-join and one write per row: the writer `write_csv` replaced,
+    kept as its oracle."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+CSV_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+CSV_BLOCK = 4
+
+
+def csv_columns(n):
+    """One strategy per kind of column `write_csv` takes, each of `n` values."""
+    floats = st.one_of(st.sampled_from(CSV_FLOATS), st.floats(allow_nan=True))
+    ints = st.integers(-(1 << 63), (1 << 63) - 1)
+    return st.one_of(
+        st.lists(floats, min_size=n, max_size=n).map(np.array),
+        st.lists(ints, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.one_of(ints, st.integers(1 << 63, 1 << 70), floats), min_size=n, max_size=n),
+        st.lists(st.sampled_from(["exact", "certified", ""]), min_size=n, max_size=n),
+        st.just(range(n)),
+    )
+
+
+class TestWriteCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_row_writer(self, data, tmp_path_factory):
+        n = data.draw(st.sampled_from([0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
+                                       2 * CSV_BLOCK + 1]))
+        columns = data.draw(st.lists(csv_columns(n), min_size=1, max_size=4))
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        d = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(fr, "_CSV_BLOCK", CSV_BLOCK):
+            fr.write_csv(d / "block.csv", "h", columns)
+        write_csv_per_row(d / "row.csv", "h", rows)
+        assert (d / "block.csv").read_bytes() == (d / "row.csv").read_bytes()
+
+
 class TestPointCloudCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -204,6 +246,24 @@ class TestPointCloudCsv:
         fr.save_csv(fr.PointCloud(pts, 6), p)
         back = fr.load_csv(p)
         assert back.dim == 3 and np.array_equal(back.points, pts)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_multi_block_round_trip(self, dim, tmp_path):
+        rng = np.random.default_rng(dim)
+        pts = rng.uniform(-3.0, 3.0, (2 * fr._CSV_BLOCK + 1, dim))
+        pts[fr._CSV_BLOCK - 1 : fr._CSV_BLOCK + 1] = [5e-324, -0.0, 1e16][:dim]
+        p, p2 = tmp_path / "c.csv", tmp_path / "c2.csv"
+        fr.save_csv(fr.PointCloud(pts, 9), p)
+        back = fr.load_csv(p)
+        assert back.k == 9 and back.dim == dim
+        assert np.array_equal(back.points.view(np.int64), pts.view(np.int64))
+        fr.save_csv(back, p2)
+        assert p.read_bytes() == p2.read_bytes()
+
+    def test_empty_cloud(self, tmp_path):
+        p = tmp_path / "e.csv"
+        fr.save_csv(fr.PointCloud(np.empty((0, 2)), 6), p)
+        assert p.read_bytes() == b"dim,k\n2,6\n"
 
     def test_dedupe_at_quarter_delta(self):
         k = 4
