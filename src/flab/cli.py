@@ -14,9 +14,9 @@ byte; the only exception is the wall_times block of `report`.
 
 Exit codes: 0 success, 2 config parse/shape error (a non-integer integer
 field or a non-number float field included, as are a `k_range` whose finest
-scale is negative and a `grid_k` below -1023, whose cell side overflows a
-float; every command, and `report` for every stage, checks its fields before
-it writes, so --out stays empty),
+scale is negative or above 1023 and a `grid_k` below -1023, whose scale 2^k
+or cell side overflows a float; every command, and `report` for every stage,
+checks its fields before it writes, so --out stays empty),
 3 invariant violation or any other library error, 4 missing input file,
 5 experiment degeneracy.
 """
@@ -123,8 +123,8 @@ def _boxdim_fields(config: dict):
     if not config.get("k_range"):
         raise ValueError("boxdim config needs `k_range`")
     k_range = [gen._json_int(k, "k_range entry") for k in config["k_range"]]
-    if max(k_range) < 0:
-        raise ValueError(f"k_range needs a scale >= 0, got finest {max(k_range)}")
+    if not 0 <= max(k_range) <= 1023:  # 2^k overflows a float above 1023
+        raise ValueError(f"k_range needs a finest scale in [0, 1023], got {max(k_range)}")
     if "s" in config and "t" in config:
         return k_range, gen._json_number(config["s"], "s"), gen._json_number(config["t"], "t")
     return k_range, None, None

@@ -466,6 +466,20 @@ def _enclosing_candidate(pts: np.ndarray, r_min: float):
     return tuple(c), max(rad, r_min)
 
 
+def _level_keys(pts: np.ndarray, s: float, r_min: float):
+    """content_greedy's levels j < L: cells of side 2^-j (L, n, dim), their keys
+    (L, n) and weights (L,).  Cells and keys are elementwise: a subset's are columns."""
+    if not (0.0 < s <= 2.0):
+        raise ValueError("need 0 < s <= 2")
+    n, dim = pts.shape
+    n_levels = max(math.floor(math.log2(1.0 / r_min)), 0) + 1
+    # times 2^j, exact like ldexp(pts, j) but ~5x faster than ldexp's int64 path
+    cells = np.floor(pts * np.ldexp(1.0, np.arange(n_levels))[:, None, None]).astype(np.int64)
+    keys = _pack(cells.reshape(-1, dim)).reshape(n_levels, n)
+    w = np.array([(math.sqrt(dim) * 2.0 ** (-j)) ** s for j in range(n_levels)])
+    return cells, keys, w
+
+
 def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
     """Upper content estimate: density-greedy cover by balls of dyadic cells
     (radius >= ~r_min), or the single enclosing ball when that is cheaper.
@@ -476,20 +490,19 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
     uncovered points per (sqrt(dim) 2^-j)^s; ties go to the coarser level,
     then to the lower cell key.  The loop stops once its running sum reaches
     the enclosing ball's cost: a float sum of positive terms never falls, so
-    from then on the ball is the answer.
+    from then on the ball is the answer.  The arc scan builds a circle's levels
+    (_level_keys) once and covers each arc from their columns (_greedy_cover).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyInput("no points")
-    if not (0.0 < s <= 2.0):
-        raise ValueError("need 0 < s <= 2")
-    n, dim = pts.shape
-    rootd = math.sqrt(dim)
-    n_levels = max(math.floor(math.log2(1.0 / r_min)), 0) + 1
-    # (L, n) keys, row j for the cells of side 2^-j, from one _pack call
-    cells = np.floor(np.ldexp(pts, np.arange(n_levels)[:, None, None])).astype(np.int64)
-    keys = _pack(cells.reshape(-1, dim)).reshape(n_levels, n)
-    w = np.array([(rootd * 2.0 ** (-j)) ** s for j in range(n_levels)])
+    return _greedy_cover(pts, *_level_keys(pts, s, r_min), s, r_min)
+
+
+def _greedy_cover(pts, cells, keys, w, s: float, r_min: float) -> ContentEstimate:
+    """content_greedy on the points' levels from _level_keys."""
+    n_levels, n = keys.shape
+    rootd = math.sqrt(pts.shape[1])
     center, rad = _enclosing_candidate(pts, r_min)
     enc_sum = (2.0 * rad) ** s
     covered = np.zeros(n, dtype=bool)

@@ -9,6 +9,7 @@ deterministic given the seed; the seed only rotates the angular sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -236,6 +237,12 @@ def generate_parameter_set(config: FurstenbergConfig) -> DeltaQSet:
     return ds
 
 
+@functools.lru_cache(maxsize=64)
+def _rotation(seed) -> float:
+    """The angle every angular set of `seed` is rotated by, drawn once a seed."""
+    return 0.0 if seed is None else np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+
+
 def generate_angular_set(
     z: CircleParam,
     s: float,
@@ -252,10 +259,6 @@ def generate_angular_set(
         raise ConfigInvalid("circle parameter outside the reference box")
     r = z.radius
     step = delta / r
-    if seed is None:
-        offset = 0.0
-    else:
-        offset = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
     if s == 1.0:
         count = math.floor(2.0 * math.pi / step)
         angles = np.arange(count) * step
@@ -282,7 +285,7 @@ def generate_angular_set(
                 break
             levels += 1
         angles = circular_cantor(levels)
-    return np.sort((angles + offset) % (2.0 * math.pi))
+    return np.sort((angles + _rotation(seed)) % (2.0 * math.pi))
 
 
 @dataclass

@@ -21,10 +21,11 @@ from .fractal import (
     PointCloud,
     _check_key_range,
     _content_scales,
+    _greedy_cover,
+    _level_keys,
     _pack,
     _unique_runs,
     _unpack,
-    content_greedy,
     content_lower,
 )
 from .geometry import CircleParam, _runs
@@ -181,10 +182,12 @@ def box_counts_streaming(chunks, ks) -> dict:
             dim = pts.shape[1]
         elif pts.shape[1] != dim:
             raise ValueError(f"a chunk of {pts.shape[1]}-D points among {dim}-D ones")
-        idx = np.floor(pts * (1 << top)).astype(np.int64)
+        with np.errstate(over="ignore"):  # an inf index fails the range check
+            idx = np.floor(pts * (1 << top))
+        _check_key_range(idx.min(), idx.max(), dim)  # an index past int64 breaks the cast
+        idx = idx.astype(np.int64)
         # per column: numpy reduces an (n, d) array along axis 0 ~25x slower
         chunk_lo, chunk_hi = [int(c.min()) for c in idx.T], [int(c.max()) for c in idx.T]
-        _check_key_range(min(chunk_lo), max(chunk_hi), dim)
         lo = chunk_lo if lo is None else list(map(min, lo, chunk_lo))
         hi = chunk_hi if hi is None else list(map(max, hi, chunk_hi))
         points += len(idx)
@@ -265,10 +268,10 @@ def circle_angles(z: CircleParam, pts: np.ndarray) -> np.ndarray:
 
 
 def _content_reaches(
-    z: CircleParam, pts: np.ndarray, s_prime: float, delta: float, eta: float
+    z: CircleParam, pts: np.ndarray, theta: np.ndarray, s_prime: float, delta: float, eta: float
 ) -> bool:
     """Exactly ``content_lower(pts, s_prime, delta) >= eta``, decided
-    without computing the estimate.
+    without computing the estimate; theta is circle_angles(z, pts).
 
     The estimate is n / max_d (cnt_d / den_d) over content_lower's scales d,
     and IEEE division is monotone, so it reaches eta iff every scale has
@@ -279,45 +282,45 @@ def _content_reaches(
     both at least rho_min from z's center, differ in angle by at most
     2 asin(reach / 2 rho_min), so a counted set lies in an angular window of
     twice that width, and no such set holds more points than the fullest
-    window over the sorted angles.
+    window over the sorted angles.  The ceiling passes iff ring[i + T] >
+    theta[i] + width for all i, T the largest m < n with n / (m / den) >= eta:
+    a searchsorted window count's float test, one gather for all scales.
     """
     n = pts.shape[0]
     rel = pts - np.array(z.center)
     rho_min = float(np.hypot(rel[:, 0], rel[:, 1]).min())
-    theta = np.sort(circle_angles(z, pts))
+    theta = np.sort(theta)
     ring = np.concatenate([theta, theta + 2.0 * math.pi])
     # Relative slack that dwarfs the rounding of rho, of the angles and of the
     # kd tree's distance test, each a few ulps of 1 + |coordinates| / rho_min.
     magnitude = max(float(np.abs(pts).max()), *map(abs, z.center))
     slack = 1e-9 * (1.0 + magnitude / rho_min) if rho_min > 0.0 else math.inf
-    for den, reach, count in _content_scales(pts, s_prime, delta):
-        if n / (n / den) >= eta:
-            continue
-        if reach * (1.0 + slack) < 2.0 * rho_min:
-            half = 2.0 * math.asin(reach * (1.0 + slack) / (2.0 * rho_min))
-            width = 2.0 * half * (1.0 + slack) + slack
-            windows = np.searchsorted(ring, theta + width, side="right") - np.arange(n)
-            if n / (min(n, int(windows.max())) / den) >= eta:
-                continue
-        if n / (count() / den) < eta:
-            return False
-    return True
+    scales = [sc for sc in _content_scales(pts, s_prime, delta) if n / (n / sc[0]) < eta]
+    den = np.array([d for d, _, _ in scales])
+    ceiling = np.count_nonzero(n / (np.arange(1, n) / den[:, None]) >= eta, axis=1)
+    width = np.array([
+        2.0 * (2.0 * math.asin(reach * (1.0 + slack) / (2.0 * rho_min))) * (1.0 + slack) + slack
+        if reach * (1.0 + slack) < 2.0 * rho_min else math.inf  # inf: no ceiling
+        for _, reach, _ in scales
+    ])
+    fits = (ring[np.arange(n) + ceiling[:, None]] > theta + width[:, None]).all(axis=1)
+    return all(fit or n / (count() / d) >= eta for (d, _, count), fit in zip(scales, fits.tolist()))
 
 
 def _require_content(
-    z: CircleParam, pts: np.ndarray, s_prime: float, delta: float, eta: float
+    z: CircleParam, pts: np.ndarray, theta: np.ndarray, s_prime: float, delta: float, eta: float
 ) -> None:
     """Raise InsufficientContent unless the content lower estimate of the
-    circle z's cloud reaches eta; the answer is decided, not estimated.
+    circle z's cloud, at angles theta, reaches eta; decided, not estimated.
 
     A subset's content bounds the set's from below, so a decimated check is
     valid; when it is shy the full cloud decides, unless the subset was the
     full cloud already.
     """
     stride = max(1, -(-pts.shape[0] // 1024))
-    if _content_reaches(z, pts[::stride], s_prime, delta, eta):
+    if _content_reaches(z, pts[::stride], theta[::stride], s_prime, delta, eta):
         return
-    if stride > 1 and _content_reaches(z, pts, s_prime, delta, eta):
+    if stride > 1 and _content_reaches(z, pts, theta, s_prime, delta, eta):
         return
     lower = content_lower(pts, s_prime, delta)
     raise InsufficientContent(f"content lower estimate {lower:.4g} below eta {eta:.4g}")
@@ -351,24 +354,25 @@ def extract_three_arcs(
     pts = np.asarray(pts, dtype=float)
     if pts.shape[0] == 0:
         raise InsufficientContent("empty circle cloud")
-    _require_content(z, pts, s_prime, delta, eta)
+    theta = circle_angles(z, pts)
+    _require_content(z, pts, theta, s_prime, delta, eta)
     r = z.radius
     gamma = (eta / 16.0) ** (1.0 / s_prime)
     assert gamma <= 1.0 / 16.0 + 1e-12
     n_arcs = math.ceil(2.0 * math.pi * r / gamma)
     assert n_arcs >= 16
     w = gamma / r
-    theta = circle_angles(z, pts)
     arc_of = np.minimum((theta / w).astype(np.int64), n_arcs - 1)
     order = np.argsort(arc_of, kind="stable")
-    arc_sorted = arc_of[order]
-    starts = np.searchsorted(arc_sorted, np.arange(n_arcs + 1))
+    starts = np.searchsorted(arc_of[order], np.arange(n_arcs + 1))
+    # content_greedy per arc, on the columns of the circle's levels
+    cells, keys, weights = _level_keys(pts, s_prime, delta)
 
     def arc_content(l: int) -> float:
         sel = order[starts[l] : starts[l + 1]]
         if sel.size == 0:
             return 0.0
-        return content_greedy(pts[sel], s_prime, delta).upper
+        return _greedy_cover(pts[sel], cells[:, sel], keys[:, sel], weights, s_prime, delta).upper
 
     target = eta / 8.0
     tol = gamma ** s_prime

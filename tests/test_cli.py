@@ -165,7 +165,8 @@ def test_report_stage_field_exit2_before_writing(case, tmp_path, monkeypatch):
 
 # (command, config under a directory holding v.csv and cloud.csv), one per
 # field range that the library would only find out after gen: a cell side
-# 2^-grid_k that overflows a float, and a negative finest box-count scale
+# 2^-grid_k that overflows a float, a negative finest box-count scale and one
+# whose 2^k overflows a float
 OUT_OF_RANGE_FIELDS = {
     "grid_k-overflow": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "grid_k": -1024}),
     "report-grid_k-overflow": ("report", lambda d: {"generator": REPORT_CFG, "grid_k": -1024}),
@@ -173,6 +174,10 @@ OUT_OF_RANGE_FIELDS = {
                                               "k_range": [-3, -2, -1]}),
     "report-k_range-negative": ("report", lambda d: {"generator": REPORT_CFG,
                                                      "k_range": [-3, -2, -1]}),
+    "k_range-overflow": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"),
+                                              "k_range": [1, 2, 2000]}),
+    "report-k_range-overflow": ("report", lambda d: {"generator": REPORT_CFG,
+                                                     "k_range": [1, 2, 2000]}),
 }
 
 
@@ -282,6 +287,16 @@ class TestBoxdim:
         cfg = write_json(
             tmp_path / "bd.json", {"cloud": str(tmp_path / "ones.csv"), "k_range": [29, 30, 31]}
         )
+        assert run(["boxdim", "--config", cfg, "--out", tmp_path / "o"]) == 3
+        assert not (tmp_path / "o" / "boxdim.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_float_index_beyond_int64_exit3(self, tmp_path):
+        # at k = 70 the float cell index passes int64; the range check runs
+        # before the cast, so no cast warning reaches stderr
+        fr.save_csv(fr.PointCloud(np.array([[0.1, 0.2], [0.7, 0.4]]), 6), tmp_path / "c.csv")
+        config = {"cloud": str(tmp_path / "c.csv"), "k_range": [1, 2, 70]}
+        cfg = write_json(tmp_path / "bd.json", config)
         assert run(["boxdim", "--config", cfg, "--out", tmp_path / "o"]) == 3
         assert not (tmp_path / "o" / "boxdim.csv").exists()
 

@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,6 +129,21 @@ class TestAngularSet:
             gaps = np.diff(ang)
             wrap = 2.0 * math.pi - (ang[-1] - ang[0])
             assert min(gaps.min(), wrap) >= d / r - 1e-12
+
+    @pytest.mark.parametrize("seed", [None, 0, 2 ** 31])
+    def test_rotation_drawn_once_per_seed(self, seed):
+        # the cached offset is the fresh draw, bit for bit, and a second
+        # circle of the same seed draws nothing
+        d = 2.0 ** (-7)
+        z = CircleParam((0.1, -0.2), 0.9)
+        offset = 0.0 if seed is None else np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+        unrotated = gen.generate_angular_set(z, 0.5, d, None)
+        expected = np.sort((unrotated + offset) % (2.0 * math.pi))
+        gen._rotation.cache_clear()
+        with mock.patch.object(gen.np.random, "default_rng", wraps=np.random.default_rng) as rng:
+            for _ in range(2):
+                assert gen.generate_angular_set(z, 0.5, d, seed).tobytes() == expected.tobytes()
+        assert rng.call_count == (seed is not None)
 
     def test_seed_rotates_but_preserves_cardinality(self):
         d = 2.0 ** (-8)

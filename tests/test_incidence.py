@@ -164,6 +164,15 @@ class TestBoxCount:
         with pytest.raises(ConfigInvalid):
             inc.box_counts_streaming([pts], [31])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("top", [64, 70, 1023])
+    def test_float_index_beyond_int64_raises_before_the_cast(self, dim, top):
+        # at k = 1023 a coordinate of 2 scales to inf; no cast warning either way
+        pts = np.array([[0.1, 0.2, 0.3], [0.7, -2.0, 0.4]])[:, :dim]
+        with pytest.raises(ConfigInvalid):
+            inc.box_counts_streaming([pts], [1, 2, top])
+
 
 class TestDimensionSlope:
     def test_exact_powers(self):
@@ -229,6 +238,88 @@ class TestExtractThreeArcs:
         assert tri.intervals[0][1] == pytest.approx((e1 + 1) * w)
         assert tri.intervals[1] == pytest.approx(((e1 + 2) * w, (e2 + 1) * w))
         assert tri.intervals[2] == pytest.approx(((e2 + 2) * w, (e3 + 1) * w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        k=st.integers(6, 8),
+        s_prime=st.sampled_from([0.55, 0.75, 1.0]),
+        eta_rule=st.sampled_from(["auto", "paper", 0.4, 0.75, 1.0]),
+        spread=st.sampled_from([0.1, 0.4, 0.7, 1.0]),
+        jitter=st.sampled_from([0.0, 0.25, 1.0]),
+        sparse=st.booleans(),
+    )
+    @example(seed=0, k=6, s_prime=1.0, eta_rule=1.0, spread=1.0, jitter=0.0, sparse=False)
+    def test_random_circle_scan_matches_oracle(
+        self, seed, k, s_prime, eta_rule, spread, jitter, sparse
+    ):
+        # points every delta / r along part of a random circle, or an eighth
+        # as many at random angles in random order, whose gaps let a greedy
+        # cover beat the enclosing ball; jittered off the circle by up to
+        # jitter * delta.  The oracle decides the content with content_lower,
+        # bins the arcs with circle_angles, covers each with the public
+        # content_greedy and replays the three scans and checks.
+        rng = np.random.default_rng(seed)
+        delta = 2.0 ** (-k)
+        z = CircleParam(tuple(rng.uniform(-0.3, 0.3, 2)), rng.uniform(0.2, 2.0))
+        span, step = 2.0 * math.pi * spread, delta / z.radius
+        if sparse:
+            ang = rng.uniform(0.0, span, int(span / step) // 8 + 1)
+        else:
+            ang = np.arange(0.0, span, step)
+        ang = ang + rng.uniform(0.0, 2.0 * math.pi)
+        rad = z.radius + jitter * delta * rng.uniform(-1.0, 1.0, ang.size)
+        pts = np.column_stack([z.center[0] + rad * np.cos(ang), z.center[1] + rad * np.sin(ang)])
+        if eta_rule == "auto":
+            eta = min(1.0, max(1.0 / k ** 2, 16.0 * (2.0 * delta) ** s_prime))
+        else:
+            eta = 1.0 / k ** 2 if eta_rule == "paper" else eta_rule
+        if (eta / 16.0) ** (1.0 / s_prime) < 1e-3:  # keep the arc count near 10^4
+            eta = 16.0 * 1e-3 ** s_prime
+
+        def oracle():
+            stride = max(1, -(-pts.shape[0] // 1024))
+            lower = fr.content_lower(pts, s_prime, delta)
+            if fr.content_lower(pts[::stride], s_prime, delta) < eta and lower < eta:
+                raise InsufficientContent(f"content lower estimate {lower:.4g} below eta {eta:.4g}")
+            gamma = (eta / 16.0) ** (1.0 / s_prime)
+            n_arcs = math.ceil(2.0 * math.pi * z.radius / gamma)
+            w = gamma / z.radius
+            arc_of = np.minimum((inc.circle_angles(z, pts) / w).astype(np.int64), n_arcs - 1)
+
+            def scan(start, stop):
+                cum = 0.0
+                for l in range(start, stop + 1):
+                    sub = pts[arc_of == l]
+                    cum += fr.content_greedy(sub, s_prime, delta).upper if len(sub) else 0.0
+                    if cum >= eta / 8.0 and l >= start + 1:
+                        return l, cum
+                raise InsufficientContent("arc scan exhausted the circle")
+
+            e1, c1 = scan(0, n_arcs - 13)
+            e2, c2 = scan(e1 + 2, n_arcs - 9)
+            e3, c3 = scan(e2 + 2, n_arcs - 3)
+            tol = gamma ** s_prime
+            if not all(eta / 8.0 - tol <= c <= 3.0 * eta / 16.0 + tol for c in (c1, c2, c3)):
+                raise InsufficientContent("arc content escaped the bracket")
+            ends = (0.0, (e1 + 1) * w, (e1 + 2) * w, (e2 + 1) * w, (e2 + 2) * w, (e3 + 1) * w)
+            intervals = (ends[0:2], ends[2:4], ends[4:6])
+            tri = inc.ArcTriple(z, intervals, gamma, gamma / math.pi, (c1, c2, c3))
+            if tri.min_chord_separation() < gamma / math.pi - 1e-12:
+                raise InsufficientContent("arc separation collapsed")
+            return tri
+
+        try:
+            expected = oracle()
+        except InsufficientContent as err:
+            with pytest.raises(InsufficientContent) as got:
+                inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
+            assert str(got.value) == str(err)
+        else:
+            tri = inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
+            assert (tri.intervals, tri.contents, tri.tau) == (
+                expected.intervals, expected.contents, expected.tau
+            )
 
     def test_semicircle_concentration(self):
         k = 9
@@ -321,9 +412,96 @@ class TestContentDecision:
         eta = np.nextafter(base, np.inf) if nudge == "up" else base * nudge
         if lowers["sub"] < eta and lowers["full"] < eta:
             with pytest.raises(InsufficientContent):
-                inc._require_content(z, pts, s_prime, delta, eta)
+                inc._require_content(z, pts, inc.circle_angles(z, pts), s_prime, delta, eta)
         else:
-            inc._require_content(z, pts, s_prime, delta, eta)
+            inc._require_content(z, pts, inc.circle_angles(z, pts), s_prime, delta, eta)
+
+    @staticmethod
+    def assert_reaches_exactly(z, pts, s_prime, delta, etas=()):
+        """_content_reaches is content_lower(pts) >= eta, at the estimate, one
+        ulp to each side of it and at `etas`."""
+        theta = inc.circle_angles(z, pts)
+        lower = fr.content_lower(pts, s_prime, delta)
+        for eta in (lower, np.nextafter(lower, 0.0), np.nextafter(lower, np.inf), *etas):
+            assert inc._content_reaches(z, pts, theta, s_prime, delta, eta) == (lower >= eta)
+
+    @staticmethod
+    def finest_den(pts, s_prime, delta):
+        return next(fr._content_scales(pts, s_prime, delta))[0]
+
+    def test_one_point(self):
+        # no m < n = 1 exists, so the ceiling bound T is 0
+        d = 2.0 ** (-8)
+        z = CircleParam((0.1, -0.05), 0.8)
+        self.assert_reaches_exactly(z, circle_points(z, np.array([2.0])), 1.0, d)
+
+    @pytest.mark.parametrize("bound", ["T=0", "T=n-1"])
+    def test_ceiling_bound_at_its_ends(self, bound):
+        # eta set so that at the finest scale T, the largest m < n with
+        # n / (m / den) >= eta, is 0 (never passes) or n - 1 (passes unless
+        # one window holds every point)
+        d = 2.0 ** (-8)
+        z = CircleParam((0.1, -0.05), 0.8)
+        for pts in (circle_points(z, np.linspace(0.0, 2.0, 400)), circle_points(z, [0.5, 2.5])):
+            n, den = pts.shape[0], self.finest_den(pts, 1.0, d)
+            eta = n / ((n - 1) / den) if bound == "T=n-1" else np.nextafter(n / (1 / den), np.inf)
+            self.assert_reaches_exactly(z, pts, 1.0, d, [eta])
+
+    def test_point_at_the_center_counts_exactly(self):
+        # rho_min = 0 makes the slack infinite: no scale gets a ceiling
+        d = 2.0 ** (-8)
+        z = CircleParam((0.1, -0.05), 0.8)
+        pts = np.concatenate([[z.center], circle_points(z, np.linspace(0.0, 3.0, 500))])
+        with mock.patch.object(inc.math, "asin", side_effect=AssertionError):
+            self.assert_reaches_exactly(z, pts, 1.0, d, [0.5, 0.9])
+
+    def test_repeated_angles(self):
+        # every angle twice, at radii r and r + delta / 2, and a duplicate point
+        d = 2.0 ** (-8)
+        z = CircleParam((0.1, -0.05), 0.8)
+        ang = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
+        wide = CircleParam(z.center, z.radius + d / 2)
+        pts = np.concatenate(
+            [circle_points(z, ang), circle_points(wide, ang), circle_points(z, [0.0])]
+        )
+        n, den = pts.shape[0], self.finest_den(pts, 1.0, d)
+        self.assert_reaches_exactly(z, pts, 1.0, d, [n / ((n - 1) / den), 0.5])
+
+    def test_subset_short_full_cloud_decides(self):
+        # n > 1024: the strided subset falls short of eta and the full cloud
+        # reaches it, so both decisions run
+        k = 8
+        d = 2.0 ** (-k)
+        z = CircleParam((0.1, -0.05), 0.8)
+        pts = circle_points(z, np.linspace(0.0, 1.5, 1500))
+        sub = fr.content_lower(pts[::2], 1.0, d)
+        full = fr.content_lower(pts, 1.0, d)
+        assert sub < full
+        self.assert_reaches_exactly(z, pts, 1.0, d, [sub, full])
+        theta = inc.circle_angles(z, pts)
+        with mock.patch.object(inc, "_content_reaches", wraps=inc._content_reaches) as spy:
+            inc._require_content(z, pts, theta, 1.0, d, full)
+            with pytest.raises(InsufficientContent):
+                inc._require_content(z, pts, theta, 1.0, d, np.nextafter(full, np.inf))
+        assert spy.call_count == 4
+
+    def test_strided_subset_reads_its_own_angles(self):
+        # 1000 points spread round the circle, then 1000 in a cluster: the
+        # strided subset holds half the cluster, which sets its estimate,
+        # while the first 1000 angles alone hold none of it
+        d = 2.0 ** (-8)
+        z = CircleParam((0.1, -0.05), 0.8)
+        ang = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False),
+                              np.linspace(1.0, 1.0 + 4.0 * d, 1000)])
+        pts = circle_points(z, ang)
+        theta = inc.circle_angles(z, pts)
+        sub, full = fr.content_lower(pts[::2], 1.0, d), fr.content_lower(pts, 1.0, d)
+        for eta in (0.5 * min(sub, full), min(sub, full), max(sub, full), 1.5 * max(sub, full)):
+            if sub < eta and full < eta:
+                with pytest.raises(InsufficientContent):
+                    inc._require_content(z, pts, theta, 1.0, d, eta)
+            else:
+                inc._require_content(z, pts, theta, 1.0, d, eta)
 
     def test_failure_message_prints_the_full_estimate(self):
         k = 8
@@ -333,7 +511,7 @@ class TestContentDecision:
         lower = fr.content_lower(pts, 1.0, d)
         eta = 2.0 * lower
         with pytest.raises(InsufficientContent) as err:
-            inc._require_content(z, pts, 1.0, d, eta)
+            inc._require_content(z, pts, inc.circle_angles(z, pts), 1.0, d, eta)
         assert str(err.value) == f"content lower estimate {lower:.4g} below eta {eta:.4g}"
 
     def test_failing_small_circle_is_decided_once(self):
