@@ -87,10 +87,11 @@ def _path(config: dict, name: str, command: str) -> str:
     return config[name]
 
 
-def cmd_gen(config: dict, seed, outdir: str):
-    """Build the set and write v.csv and cloud.csv; returns (set, summary)."""
-    cfg = _generator_config(config, seed)
-    fset = gen.assemble_furstenberg(cfg)
+def cmd_gen(config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet = None):
+    """Write v.csv and cloud.csv of `fset`, or of the set `config` builds."""
+    if fset is None:
+        fset = gen.assemble_furstenberg(_generator_config(config, seed))
+    cfg = fset.config
     fr.save_csv(fset.v.cloud, os.path.join(outdir, "v.csv"))
     fr.save_csv(fset.cloud, os.path.join(outdir, "cloud.csv"))
     log.info(
@@ -229,28 +230,22 @@ def _triples_fields(config: dict):
 
 
 def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
-    cfg = fset.config
-    delta = cfg.delta
+    """(ArcTriple, or None where the circle fails, circle points) per circle."""
+    k1, delta = fset.config.k1, fset.config.delta
     data = []
-    failures = 0
-    per_z_rows = []
-    for idx, (z, angles) in enumerate(zip(fset.circles, fset.angular)):
+    for z, angles in zip(fset.circles, fset.angular):
         pts = gen._circle_points(z, angles)
         try:
             if eta_rule == "auto":
-                eta = inc.auto_eta(s_prime, delta, cfg.k1)
+                eta = inc.auto_eta(s_prime, delta, k1)
             elif eta_rule == "paper":
-                eta = 1.0 / (cfg.k1 * cfg.k1)
+                eta = 1.0 / (k1 * k1)
             else:
                 eta = float(eta_rule)
-            triple = inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
-            per_z_rows.append((idx, *triple.contents, triple.tau))
+            data.append((inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta), pts))
         except InsufficientContent:
-            failures += 1
-            triple = None
-            per_z_rows.append((idx, *[math.nan] * 4))
-        data.append((triple, pts))
-    return data, failures, per_z_rows
+            data.append((None, pts))
+    return data
 
 
 def cmd_triples(
@@ -261,13 +256,15 @@ def cmd_triples(
     if fset is None:
         fset = gen.assemble_furstenberg(_generator_config(config.get("generator"), seed))
     cfg = fset.config
-    data, failures, per_z_rows = _arc_data(fset, s_prime, eta_rule)
+    data = _arc_data(fset, s_prime, eta_rule)
     fr.write_csv(
         os.path.join(outdir, "arcs.csv"),
         "z_index,content_plus,content_minus,content_times,tau",
-        zip(*per_z_rows),
+        zip(*[(i, *[math.nan] * 4) if t is None else (i, *t.contents, t.tau)
+              for i, (t, _) in enumerate(data)]),
     )
     n = len(data)
+    failures = sum(t is None for t, _ in data)
     if failures > 0.1 * n:
         raise DegenerateExperiment(
             f"arc extraction failed on {failures}/{n} circles (> 10%)"
@@ -400,12 +397,14 @@ def cmd_report(config: dict, seed, outdir: str) -> dict:
         "t_prime": config.get("t_prime", t),
         "epsilon": config.get("epsilon", 0.1),
     }
-    _boxdim_fields(box_cfg)
+    k_range, _, _ = _boxdim_fields(box_cfg)
     _triples_fields(triples_cfg)
     _multiplicity_fields(mult_cfg, k1)
     walls = {}
     t0 = time.perf_counter()
-    fset, gen_summary = cmd_gen(config["generator"], seed, outdir)
+    fset = gen.assemble_furstenberg(gen_cfg)
+    inc._check_scale(fset.cloud.points, max(k_range))  # before gen writes a file
+    fset, gen_summary = cmd_gen(None, None, outdir, fset=fset)
     walls["gen"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     box_summary = cmd_boxdim(box_cfg, None, outdir, cloud=fset.cloud)

@@ -412,11 +412,6 @@ def content_lower(points, s: float, delta: float) -> float:
     return pts.shape[0] / worst
 
 
-def _circumcircle2(p, q):
-    c = 0.5 * (p + q)
-    return c, float(np.linalg.norm(p - c))
-
-
 @functools.lru_cache(maxsize=256)
 def _welzl_order(n: int) -> np.ndarray:
     """The seeded Welzl visiting order of n points; read-only, as callers share it."""
@@ -426,15 +421,17 @@ def _welzl_order(n: int) -> np.ndarray:
 
 
 def _min_enclosing_ball_2d(pts: np.ndarray):
-    """Minimal enclosing ball (Welzl, move-to-front), hull-reduced, seeded."""
+    """Minimal enclosing ball (Welzl, move-to-front), hull-reduced, seeded; |v|
+    is sqrt(v.dot(v)), np.linalg.norm's BLAS ddot and sqrt without its wrapper."""
     cand = _hull_vertices(pts) if pts.shape[0] > 16 else pts
     P = cand[_welzl_order(cand.shape[0])]
     eps = 1e-12
 
     def ball_with_2(points, p, q):
-        c, r = _circumcircle2(p, q)
+        c = 0.5 * (p + q)
+        r = math.sqrt((v := p - c).dot(v))
         for i in range(points.shape[0]):
-            if np.linalg.norm(points[i] - c) > r * (1 + eps) + eps:
+            if math.sqrt((v := points[i] - c).dot(v)) > r * (1 + eps) + eps:
                 try:
                     c, r = circumcenter(p, q, points[i])
                 except DegenerateTriangle:
@@ -444,13 +441,13 @@ def _min_enclosing_ball_2d(pts: np.ndarray):
     def ball_with_1(points, p):
         c, r = p.copy(), 0.0
         for i in range(points.shape[0]):
-            if np.linalg.norm(points[i] - c) > r * (1 + eps) + eps:
+            if math.sqrt((v := points[i] - c).dot(v)) > r * (1 + eps) + eps:
                 c, r = ball_with_2(points[:i], p, points[i])
         return c, r
 
     c, r = P[0].copy(), 0.0
     for i in range(1, P.shape[0]):
-        if np.linalg.norm(P[i] - c) > r * (1 + eps) + eps:
+        if math.sqrt((v := P[i] - c).dot(v)) > r * (1 + eps) + eps:
             c, r = ball_with_1(P[:i], P[i])
     # Guard against accumulated rounding: enforce actual enclosure.
     r = max(r, float(np.linalg.norm(pts - c, axis=1).max()))
@@ -490,8 +487,12 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
     uncovered points per (sqrt(dim) 2^-j)^s; ties go to the coarser level,
     then to the lower cell key.  The loop stops once its running sum reaches
     the enclosing ball's cost: a float sum of positive terms never falls, so
-    from then on the ball is the answer.  The arc scan builds a circle's levels
-    (_level_keys) once and covers each arc from their columns (_greedy_cover).
+    from then on the ball is the answer.  Nor does the loop start when a lower
+    bound on its covers reaches that cost: one pick costs the weight of a level
+    whose cells all agree, more picks at least twice the least weight, in the
+    very floats the loop adds, so the bound is exact.  The arc scan builds a
+    circle's levels (_level_keys) once and covers each arc from their columns
+    (_greedy_cover).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -500,11 +501,17 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
 
 
 def _greedy_cover(pts, cells, keys, w, s: float, r_min: float) -> ContentEstimate:
-    """content_greedy on the points' levels from _level_keys."""
+    """content_greedy on the points' levels from _level_keys.  The ball is
+    returned before the loop when no cover can be cheaper: a one-pick cover is
+    a level whose cells all agree and costs its w, and, float addition being
+    monotone, two or more picks sum to at least 2 min(w)."""
     n_levels, n = keys.shape
     rootd = math.sqrt(pts.shape[1])
     center, rad = _enclosing_candidate(pts, r_min)
     enc_sum = (2.0 * rad) ** s
+    one_cell = (keys == keys[:, :1]).all(axis=1)
+    if min(2.0 * w.min(), w[one_cell].min(initial=math.inf)) >= enc_sum:
+        return ContentEstimate(upper=enc_sum, cover=[(center, rad)])
     covered = np.zeros(n, dtype=bool)
     picks = []
     greedy_sum = 0.0

@@ -85,6 +85,13 @@ def _grid_counts(grid: np.ndarray, ks) -> dict:
     return counts
 
 
+def _check_scale(pts: np.ndarray, k: int) -> None:
+    """Raise ConfigInvalid unless every floor(x 2^k) fits a key; the extreme x decide."""
+    with np.errstate(over="ignore"):  # an inf index fails the range check
+        lo, hi = np.floor(np.array([pts.min(), pts.max()]) * (1 << k))
+    _check_key_range(lo, hi, pts.shape[1])
+
+
 def box_counts_streaming(chunks, ks) -> dict:
     """Box counts N(2^-k) for several k over a stream of point chunks.
 
@@ -109,7 +116,7 @@ def box_counts_streaming(chunks, ks) -> dict:
     A chunk that would grow it past that hands every cell over to keys, and
     after each merge the keys go back to a grid if one that size covers
     them.  Points of any other dimension use keys.  Either way a finest
-    index that does not fit a key raises ConfigInvalid.
+    index that does not fit a key raises ConfigInvalid (_check_scale).
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -182,10 +189,8 @@ def box_counts_streaming(chunks, ks) -> dict:
             dim = pts.shape[1]
         elif pts.shape[1] != dim:
             raise ValueError(f"a chunk of {pts.shape[1]}-D points among {dim}-D ones")
-        with np.errstate(over="ignore"):  # an inf index fails the range check
-            idx = np.floor(pts * (1 << top))
-        _check_key_range(idx.min(), idx.max(), dim)  # an index past int64 breaks the cast
-        idx = idx.astype(np.int64)
+        _check_scale(pts, top)  # an index past int64 breaks the cast
+        idx = np.floor(pts * (1 << top)).astype(np.int64)
         # per column: numpy reduces an (n, d) array along axis 0 ~25x slower
         chunk_lo, chunk_hi = [int(c.min()) for c in idx.T], [int(c.max()) for c in idx.T]
         lo = chunk_lo if lo is None else list(map(min, lo, chunk_lo))
@@ -307,6 +312,14 @@ def _content_reaches(
     return all(fit or n / (count() / d) >= eta for (d, _, count), fit in zip(scales, fits.tolist()))
 
 
+class _ContentBelowEta(InsufficientContent):
+    """Content below eta; the message computes the estimate when it is read."""
+
+    def __str__(self) -> str:
+        pts, s, delta, eta = self.args
+        return f"content lower estimate {content_lower(pts, s, delta):.4g} below eta {eta:.4g}"
+
+
 def _require_content(
     z: CircleParam, pts: np.ndarray, theta: np.ndarray, s_prime: float, delta: float, eta: float
 ) -> None:
@@ -322,8 +335,7 @@ def _require_content(
         return
     if stride > 1 and _content_reaches(z, pts, theta, s_prime, delta, eta):
         return
-    lower = content_lower(pts, s_prime, delta)
-    raise InsufficientContent(f"content lower estimate {lower:.4g} below eta {eta:.4g}")
+    raise _ContentBelowEta(pts, s_prime, delta, eta)
 
 
 def auto_eta(s_prime: float, delta: float, k1: int) -> float:
@@ -362,29 +374,31 @@ def extract_three_arcs(
     n_arcs = math.ceil(2.0 * math.pi * r / gamma)
     assert n_arcs >= 16
     w = gamma / r
-    arc_of = np.minimum((theta / w).astype(np.int64), n_arcs - 1)
-    order = np.argsort(arc_of, kind="stable")
-    starts = np.searchsorted(arc_of[order], np.arange(n_arcs + 1))
+    # the arcs that hold points and their runs of `order`; nothing sized by n_arcs
+    filled, first, order = _unique_runs(np.minimum((theta / w).astype(np.int64), n_arcs - 1))
+    bounds = np.append(first, order.size)
     # content_greedy per arc, on the columns of the circle's levels
     cells, keys, weights = _level_keys(pts, s_prime, delta)
 
     def arc_content(l: int) -> float:
-        sel = order[starts[l] : starts[l + 1]]
-        if sel.size == 0:
+        i = filled.searchsorted(l)
+        if i == filled.size or filled[i] != l:
             return 0.0
+        sel = order[bounds[i] : bounds[i + 1]]
         return _greedy_cover(pts[sel], cells[:, sel], keys[:, sel], weights, s_prime, delta).upper
 
     target = eta / 8.0
     tol = gamma ** s_prime
 
     def scan(start: int, stop: int):
-        """Smallest end arc in [start+1, stop] (at least two arcs) with
-        cumulative content >= target."""
+        """Smallest end arc in [start+1, stop] (at least two arcs) with cumulative
+        content >= target.  Only filled arcs move the sum; a first arc that
+        reaches the target alone ends the scan at start + 1."""
         cum = 0.0
-        for l in range(start, stop + 1):
+        for l in map(int, filled[filled.searchsorted(start) : filled.searchsorted(stop + 1)]):
             cum += arc_content(l)
-            if cum >= target and l >= start + 1:
-                return l, cum
+            if cum >= target:
+                return (l, cum) if l > start else (start + 1, cum + arc_content(start + 1))
         raise InsufficientContent("arc scan exhausted the circle")
 
     e1, c1 = scan(0, n_arcs - 13)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -221,6 +223,27 @@ def test_range_edge_exit0(command, config, tmp_path):
 def test_non_string_path_exit2(command, config, tmp_path):
     cfg = write_json(tmp_path / "c.json", config)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def test_report_scale_too_fine_exit3_before_writing(tmp_path):
+    # k = 30 puts the cloud's cell indices past a 2-D key, which only the
+    # built cloud shows (k = 29 passes at this config): report checks the
+    # finest box-count scale before gen writes, and logs one line
+    generator = {"s": 1, "t": 1, "k1": 6, "preset": "concentric", "seed": 0}
+    cfg = write_json(tmp_path / "r.json", {"generator": generator, "k_range": [28, 29, 30]})
+    out = tmp_path / "o"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flab.cli", "report", "--config", cfg, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert os.listdir(out) == []
+    assert proc.stderr.splitlines() == [
+        "invariant violation: cell index outside [-2^30, 2^30): scale too fine for the "
+        "coordinate range"
+    ]
 
 
 def test_library_error_exit3(tmp_path, monkeypatch):

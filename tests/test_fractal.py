@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from flab import fractal as fr
-from flab.errors import ConfigInvalid, EmptyInput
+from flab.errors import ConfigInvalid, DegenerateTriangle, EmptyInput
+from flab.geometry import _hull_vertices, circumcenter
 
 
 def line_grid(k):
@@ -45,6 +46,53 @@ def index_rows(dim):
     )
 
 
+def ball_oracle(pts):
+    """_min_enclosing_ball_2d as it was written first, its 1-D distances by
+    np.linalg.norm: Welzl, move-to-front, on the hull vertices above 16
+    points, in the seeded order."""
+    cand = _hull_vertices(pts) if pts.shape[0] > 16 else pts
+    P = cand[np.random.default_rng(0).permutation(cand.shape[0])]
+    eps = 1e-12
+
+    def circumcircle2(p, q):
+        c = 0.5 * (p + q)
+        return c, float(np.linalg.norm(p - c))
+
+    def ball_with_2(points, p, q):
+        c, r = circumcircle2(p, q)
+        for i in range(points.shape[0]):
+            if np.linalg.norm(points[i] - c) > r * (1 + eps) + eps:
+                try:
+                    c, r = circumcenter(p, q, points[i])
+                except DegenerateTriangle:
+                    pass
+        return c, r
+
+    def ball_with_1(points, p):
+        c, r = p.copy(), 0.0
+        for i in range(points.shape[0]):
+            if np.linalg.norm(points[i] - c) > r * (1 + eps) + eps:
+                c, r = ball_with_2(points[:i], p, points[i])
+        return c, r
+
+    c, r = P[0].copy(), 0.0
+    for i in range(1, P.shape[0]):
+        if np.linalg.norm(P[i] - c) > r * (1 + eps) + eps:
+            c, r = ball_with_1(P[:i], P[i])
+    r = max(r, float(np.linalg.norm(pts - c, axis=1).max()))
+    return c, r
+
+
+def enclosing_oracle(pts, r_min):
+    """_enclosing_candidate on ball_oracle."""
+    if pts.shape[1] == 2 and pts.shape[0] >= 2:
+        c, rad = ball_oracle(pts)
+    else:
+        c = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+        rad = float(np.linalg.norm(pts - c, axis=1).max())
+    return tuple(c), max(rad, r_min)
+
+
 def greedy_oracle(pts, s, r_min):
     """content_greedy's per-level greedy: one _pack and one _unique_runs per
     dyadic level and step; the best of each level wins on score, then the
@@ -75,7 +123,7 @@ def greedy_oracle(pts, s, r_min):
         picks.append((tuple(cell), rootd * side / 2.0))
         greedy_sum += (rootd * side) ** s
         covered |= sel
-    center, rad = fr._enclosing_candidate(pts, r_min)
+    center, rad = enclosing_oracle(pts, r_min)
     enc_sum = (2.0 * rad) ** s
     if enc_sum <= greedy_sum:
         return enc_sum, [(center, rad)]
@@ -443,6 +491,32 @@ class TestContent:
         upper, cover = greedy_oracle(pts, s, r_min)
         assert est.upper == upper
         assert est.cover == cover
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2 ** 32 - 1),
+        st.integers(2, 40),
+        st.sampled_from(["uniform", "lattice", "ring"]),
+        st.floats(-6.0, 1.0),
+    )
+    # 17 points: the first count that goes through the hull
+    @example(0, 17, "uniform", 0.0)
+    def test_ball_matches_norm_oracle(self, seed, n, kind, log_scale):
+        # uniform points, lattice points with repeats, or points near one
+        # circle, scaled by 1e-6 to 10 and shifted
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            pts = rng.uniform(-1.0, 1.0, (n, 2))
+        elif kind == "lattice":
+            pts = rng.integers(-2, 3, (n, 2)) / 2.0
+        else:
+            ang = rng.uniform(0.0, 2.0 * math.pi, n)
+            pts = np.column_stack([np.cos(ang), np.sin(ang)]) * rng.uniform(0.999, 1.001, (n, 1))
+        pts = pts * 10.0 ** log_scale + rng.uniform(-1.0, 1.0, 2)
+        center, rad = fr._min_enclosing_ball_2d(pts)
+        want_center, want_rad = ball_oracle(pts)
+        assert center.tobytes() == want_center.tobytes()
+        assert rad == want_rad and type(rad) is type(want_rad)
 
     def test_welzl_order_is_the_seeded_permutation(self):
         for n in range(2, 65):

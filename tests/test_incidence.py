@@ -200,6 +200,63 @@ def uniform_circle(z, k):
     return circle_points(z, ang)
 
 
+def scan_oracle(z, pts, s_prime, eta, delta):
+    """extract_three_arcs from its definitions: the content decided with
+    content_lower, the arcs binned with circle_angles and each covered with
+    the public content_greedy, and the three scans replayed over every arc,
+    empty ones included."""
+    stride = max(1, -(-pts.shape[0] // 1024))
+    lower = fr.content_lower(pts, s_prime, delta)
+    if fr.content_lower(pts[::stride], s_prime, delta) < eta and lower < eta:
+        raise InsufficientContent(f"content lower estimate {lower:.4g} below eta {eta:.4g}")
+    gamma = (eta / 16.0) ** (1.0 / s_prime)
+    n_arcs = math.ceil(2.0 * math.pi * z.radius / gamma)
+    w = gamma / z.radius
+    arc_of = np.minimum((inc.circle_angles(z, pts) / w).astype(np.int64), n_arcs - 1)
+    contents = {
+        l: fr.content_greedy(pts[arc_of == l], s_prime, delta).upper
+        for l in np.unique(arc_of).tolist()
+    }
+
+    def scan(start, stop):
+        cum = 0.0
+        for l in range(start, stop + 1):
+            cum += contents.get(l, 0.0)
+            if cum >= eta / 8.0 and l >= start + 1:
+                return l, cum
+        raise InsufficientContent("arc scan exhausted the circle")
+
+    e1, c1 = scan(0, n_arcs - 13)
+    e2, c2 = scan(e1 + 2, n_arcs - 9)
+    e3, c3 = scan(e2 + 2, n_arcs - 3)
+    tol = gamma ** s_prime
+    if not all(eta / 8.0 - tol <= c <= 3.0 * eta / 16.0 + tol for c in (c1, c2, c3)):
+        raise InsufficientContent("arc content escaped the bracket")
+    ends = (0.0, (e1 + 1) * w, (e1 + 2) * w, (e2 + 1) * w, (e2 + 2) * w, (e3 + 1) * w)
+    tri = inc.ArcTriple(z, (ends[0:2], ends[2:4], ends[4:6]), gamma, gamma / math.pi,
+                        (c1, c2, c3))
+    if tri.min_chord_separation() < gamma / math.pi - 1e-12:
+        raise InsufficientContent("arc separation collapsed")
+    return tri
+
+
+def assert_scan_matches_oracle(z, pts, s_prime, eta, delta):
+    """extract_three_arcs gives scan_oracle's intervals, contents and tau, or
+    raises with its message."""
+    try:
+        expected = scan_oracle(z, pts, s_prime, eta, delta)
+    except InsufficientContent as err:
+        with pytest.raises(InsufficientContent) as got:
+            inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
+        assert str(got.value) == str(err)
+        return err
+    tri = inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
+    assert (tri.intervals, tri.contents, tri.tau) == (
+        expected.intervals, expected.contents, expected.tau
+    )
+    return tri
+
+
 class TestExtractThreeArcs:
     def test_uniform_circle_scan_matches_prefix_oracle(self):
         k = 8
@@ -276,50 +333,65 @@ class TestExtractThreeArcs:
             eta = 1.0 / k ** 2 if eta_rule == "paper" else eta_rule
         if (eta / 16.0) ** (1.0 / s_prime) < 1e-3:  # keep the arc count near 10^4
             eta = 16.0 * 1e-3 ** s_prime
+        assert_scan_matches_oracle(z, pts, s_prime, eta, delta)
 
-        def oracle():
-            stride = max(1, -(-pts.shape[0] // 1024))
-            lower = fr.content_lower(pts, s_prime, delta)
-            if fr.content_lower(pts[::stride], s_prime, delta) < eta and lower < eta:
-                raise InsufficientContent(f"content lower estimate {lower:.4g} below eta {eta:.4g}")
-            gamma = (eta / 16.0) ** (1.0 / s_prime)
-            n_arcs = math.ceil(2.0 * math.pi * z.radius / gamma)
-            w = gamma / z.radius
-            arc_of = np.minimum((inc.circle_angles(z, pts) / w).astype(np.int64), n_arcs - 1)
+    @pytest.mark.parametrize("arc1", ["empty", "filled"])
+    def test_first_arc_alone_ends_the_scan_one_arc_on(self, arc1):
+        # arc 0 holds a spoke of points out to radius 1.12, enough content
+        # for the target alone: the first scan ends at arc 1 and adds its
+        # content, none when it holds no points
+        k = 8
+        delta = 2.0 ** (-k)
+        z = CircleParam((0.0, 0.0), 1.0)
+        eta = 0.75
+        w = eta / 16.0
+        ang = np.arange(0.0, 2.0 * math.pi, delta)
+        if arc1 == "empty":
+            ang = ang[(ang < w) | (ang >= 2.0 * w)]
+        spoke = np.arange(1.0 + delta, 1.12, delta)[:, None] * [math.cos(w / 2), math.sin(w / 2)]
+        pts = np.concatenate([circle_points(z, ang), spoke])
+        arc_of = (inc.circle_angles(z, pts) / w).astype(int)
+        contents = [fr.content_greedy(pts[arc_of == l], 1.0, delta).upper
+                    if np.any(arc_of == l) else 0.0 for l in (0, 1)]
+        assert contents[0] >= eta / 8.0 and (contents[1] > 0.0) == (arc1 == "filled")
+        tri = assert_scan_matches_oracle(z, pts, 1.0, eta, delta)
+        assert tri.intervals[0] == (0.0, 2.0 * w)
+        assert tri.contents[0] == contents[0] + contents[1]
 
-            def scan(start, stop):
-                cum = 0.0
-                for l in range(start, stop + 1):
-                    sub = pts[arc_of == l]
-                    cum += fr.content_greedy(sub, s_prime, delta).upper if len(sub) else 0.0
-                    if cum >= eta / 8.0 and l >= start + 1:
-                        return l, cum
-                raise InsufficientContent("arc scan exhausted the circle")
+    def test_paper_eta_fine_arcs_match_oracle(self):
+        # eta_rule "paper" (1/k1^2) and s' = 0.75 at k1 = 8: 32k-129k arcs a
+        # circle for ~3.2k points, most arcs empty; every 32nd circle of the
+        # set.  One point's content, (2 delta)^s' ~ 0.026, reaches the target
+        # 1/512 alone and passes the bracket's top, so each scan stops at its
+        # first filled arc (or the one after) and every circle fails
+        cfg = FurstenbergConfig(s=1.0, t=1.0, k1=8, preset="concentric", seed=0)
+        circles = gen._circles(cfg, gen.generate_parameter_set(cfg), gen._angular_base(cfg))
+        outcomes = []
+        for z, angles in list(circles)[::32]:
+            pts = gen._circle_points(z, angles)
+            result = assert_scan_matches_oracle(z, pts, 0.75, 1.0 / 64.0, cfg.delta)
+            outcomes.append(str(result))
+        assert outcomes == ["arc content escaped the bracket"] * 8
 
-            e1, c1 = scan(0, n_arcs - 13)
-            e2, c2 = scan(e1 + 2, n_arcs - 9)
-            e3, c3 = scan(e2 + 2, n_arcs - 3)
-            tol = gamma ** s_prime
-            if not all(eta / 8.0 - tol <= c <= 3.0 * eta / 16.0 + tol for c in (c1, c2, c3)):
-                raise InsufficientContent("arc content escaped the bracket")
-            ends = (0.0, (e1 + 1) * w, (e1 + 2) * w, (e2 + 1) * w, (e2 + 2) * w, (e3 + 1) * w)
-            intervals = (ends[0:2], ends[2:4], ends[4:6])
-            tri = inc.ArcTriple(z, intervals, gamma, gamma / math.pi, (c1, c2, c3))
-            if tri.min_chord_separation() < gamma / math.pi - 1e-12:
-                raise InsufficientContent("arc separation collapsed")
-            return tri
+    def test_ball_bound_settles_every_wide_arc(self):
+        # the triples-wide config (s' = 1, eta 0.75 at k1 = 6): 2-3 points an
+        # arc, and the bound proves the enclosing ball wins on every arc
+        # before the greedy loop starts.  The levels come with None for their
+        # cells, so a greedy pick would raise TypeError.
+        fs = gen.assemble_furstenberg(
+            FurstenbergConfig(s=1.0, t=1.0, k1=6, preset="concentric", seed=0)
+        )
+        level_keys, covered = fr._level_keys, []
 
-        try:
-            expected = oracle()
-        except InsufficientContent as err:
-            with pytest.raises(InsufficientContent) as got:
-                inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
-            assert str(got.value) == str(err)
-        else:
-            tri = inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta)
-            assert (tri.intervals, tri.contents, tri.tau) == (
-                expected.intervals, expected.contents, expected.tau
-            )
+        def no_cells(pts, s, r_min):
+            covered.append(pts.shape[0])
+            _, keys, w = level_keys(pts, s, r_min)
+            return np.full(keys.shape, None, dtype=object), keys, w
+
+        with mock.patch.object(inc, "_level_keys", no_cells):
+            data = cli._arc_data(fs, 1.0, 0.75)
+        assert len(covered) == len(fs.circles)
+        assert all(triple is not None for triple, _ in data)
 
     def test_semicircle_concentration(self):
         k = 9
@@ -534,6 +606,17 @@ class TestContentDecision:
         with mock.patch.object(inc, "_content_reaches", wraps=inc._content_reaches) as spy:
             cli._arc_data(fs, 1.0, eta_rule)
         assert spy.call_count == len(fs.circles)
+
+    def test_arc_data_never_computes_a_failing_circles_estimate(self):
+        # s = 0.5 and eta 1.0 at k1 = 6: 10 of the 64 circles fall short of
+        # eta; _arc_data only counts them, so the estimate that the message
+        # prints is never computed
+        fs = gen.assemble_furstenberg(
+            FurstenbergConfig(s=0.5, t=1.0, k1=6, preset="concentric", seed=0)
+        )
+        with mock.patch.object(inc, "content_lower", side_effect=AssertionError):
+            data = cli._arc_data(fs, 0.5, 1.0)
+        assert sum(triple is None for triple, _ in data) == 10
 
     def test_passing_circle_never_computes_the_estimate(self):
         k = 8
