@@ -230,22 +230,22 @@ def _triples_fields(config: dict):
 
 
 def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
-    """(ArcTriple, or None where the circle fails, circle points) per circle."""
+    """(ArcTriple, or None where the circle fails, circle points) per circle;
+    every circle's arcs are scanned in lockstep (incidence.scan_circles)."""
     k1, delta = fset.config.k1, fset.config.delta
-    data = []
-    for z, angles in zip(fset.circles, fset.angular):
-        pts = gen._circle_points(z, angles)
-        try:
-            if eta_rule == "auto":
-                eta = inc.auto_eta(s_prime, delta, k1)
-            elif eta_rule == "paper":
-                eta = 1.0 / (k1 * k1)
-            else:
-                eta = float(eta_rule)
-            data.append((inc.extract_three_arcs(z, pts, s_prime, eta, delta=delta), pts))
-        except InsufficientContent:
-            data.append((None, pts))
-    return data
+    circles = [(z, gen._circle_points(z, angles)) for z, angles in zip(fset.circles, fset.angular)]
+    try:
+        if eta_rule == "auto":
+            eta = inc.auto_eta(s_prime, delta, k1)
+        elif eta_rule == "paper":
+            eta = 1.0 / (k1 * k1)
+        else:
+            eta = float(eta_rule)
+    except InsufficientContent:
+        return [(None, pts) for _, pts in circles]
+    triples = inc.scan_circles(circles, s_prime, eta, delta=delta)
+    return [(None if isinstance(t, InsufficientContent) else t, pts)
+            for t, (_, pts) in zip(triples, circles)]
 
 
 def cmd_triples(

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateTriangle, EmptyInput
-from .geometry import _hull_vertices, circumcenter
+from .errors import ConfigInvalid, EmptyInput
+from .geometry import _circumcenters, _hull_vertices
 
 
 def _check_key_range(lo, hi, dim: int) -> None:
@@ -358,40 +358,48 @@ def _block_max_count(pts: np.ndarray, side: float) -> int:
     return int(total.max()) if len(total) else 0
 
 
-def _content_scales(pts: np.ndarray, s: float, delta: float):
-    """content_lower's quarter-octave diameters d, finest first.
+@functools.lru_cache(maxsize=64)
+def _scale_table(s: float, delta: float, size: int) -> np.ndarray:
+    """Rows d = delta 2^((m+1)/4), d 2^-1/4 and den = (d 2^-1/4)^s, m < size, in Python
+    floats (pow: np.power's SIMD loops may round otherwise); read-only, as it is shared."""
+    d = [delta * 2.0 ** ((m + 1) / 4.0) for m in range(size)]
+    base = [x * 2.0 ** (-0.25) for x in d]
+    table = np.array([d, base, [b ** s for b in base]])
+    table.flags.writeable = False
+    return table
 
-    Yields ``(den, reach, count)`` per d: the float (d 2^-1/4)^s that the
-    count is divided by, the largest distance between two points of one
-    counted set (inf when the count is every point), and a function
-    returning the count.  The kd tree is built on the first ball count.
-    """
+
+def _content_scales(pts: np.ndarray, s: float, delta: float):
+    """content_lower's scales for `pts`, finest first: the (s, delta) table
+    cut after its first d with d 2^-1/4 > max(diameter bound, delta).  Returns
+    (den, reach, count): per scale, as arrays, the float (d 2^-1/4)^s that the
+    count is divided by and the largest distance between two points of one
+    counted set (inf when the count is every point), and count(i)."""
     n = pts.shape[0]
     if n == 0:
         raise EmptyInput("no points")
     diam_ub = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    top, size = max(diam_ub, delta), 64
+    while (table := _scale_table(s, delta, size))[1][-1] <= top and math.isfinite(top):
+        size *= 4
+    cut = int(np.searchsorted(table[1], top, side="right")) + 1  # bases rise 19% a step
+    d, den = table[0][:cut], table[2][:cut]
+    exact = (d <= 8.0 * delta) | (n <= 4096)
+    reach = np.where(d >= diam_ub, math.inf, np.where(exact, d, 2.0 * math.sqrt(pts.shape[1]) * d))
+    tree = []  # the kd tree, built on the first ball count
 
-    @functools.cache
-    def tree():
-        from scipy.spatial import cKDTree
+    def count(i: int) -> int:
+        if d[i] >= diam_ub:
+            return n
+        if not exact[i]:
+            return min(n, _block_max_count(pts, float(d[i])))
+        if not tree:
+            from scipy.spatial import cKDTree
 
-        return cKDTree(pts)
+            tree.append(cKDTree(pts))
+        return int(tree[0].query_ball_point(pts, float(d[i]), return_length=True).max())
 
-    m = 0
-    while True:
-        d = delta * 2.0 ** ((m + 1) / 4.0)
-        if d >= diam_ub:
-            reach, count = math.inf, lambda: n
-        elif d <= 8.0 * delta or n <= 4096:
-            reach = d
-            count = lambda d=d: int(tree().query_ball_point(pts, d, return_length=True).max())
-        else:
-            reach = 2.0 * math.sqrt(pts.shape[1]) * d
-            count = lambda d=d: min(n, _block_max_count(pts, d))
-        yield (d * 2.0 ** (-0.25)) ** s, reach, count
-        if d * 2.0 ** (-0.25) > max(diam_ub, delta):
-            return
-        m += 1
+    return den, reach, count
 
 
 def content_lower(points, s: float, delta: float) -> float:
@@ -406,10 +414,8 @@ def content_lower(points, s: float, delta: float) -> float:
     (incidence._content_reaches).
     """
     pts = np.asarray(points, dtype=float)
-    worst = 0.0
-    for den, _, count in _content_scales(pts, s, delta):
-        worst = max(worst, count() / den)
-    return pts.shape[0] / worst
+    den, _, count = _content_scales(pts, s, delta)
+    return pts.shape[0] / max(count(i) / x for i, x in enumerate(den.tolist()))
 
 
 @functools.lru_cache(maxsize=256)
@@ -420,47 +426,52 @@ def _welzl_order(n: int) -> np.ndarray:
     return order
 
 
-def _min_enclosing_ball_2d(pts: np.ndarray):
-    """Minimal enclosing ball (Welzl, move-to-front), hull-reduced, seeded; |v|
-    is sqrt(v.dot(v)), np.linalg.norm's BLAS ddot and sqrt without its wrapper."""
-    cand = _hull_vertices(pts) if pts.shape[0] > 16 else pts
-    P = cand[_welzl_order(cand.shape[0])]
+def _welzl_lockstep(X: np.ndarray):
+    """Welzl's move-to-front ball of each row of X (B, m, 2), m >= 1, in the
+    seeded order, every row stepping through the same i > j > k loops.  A
+    point's test is |p - c| > r (1 + eps) + eps with |v| = sqrt(np.vecdot(v, v)),
+    BLAS ddot a row as v.dot(v), on C-contiguous rows; only the rows whose
+    test fires are updated, and a degenerate triangle keeps its ball."""
+    P = X[:, _welzl_order(X.shape[1])]
+    c, r = P[:, 0].copy(), np.zeros(P.shape[0])
     eps = 1e-12
 
-    def ball_with_2(points, p, q):
-        c = 0.5 * (p + q)
-        r = math.sqrt((v := p - c).dot(v))
-        for i in range(points.shape[0]):
-            if math.sqrt((v := points[i] - c).dot(v)) > r * (1 + eps) + eps:
-                try:
-                    c, r = circumcenter(p, q, points[i])
-                except DegenerateTriangle:
-                    pass
-        return c, r
+    def outside(rows, i):
+        D = P[rows, i] - c[rows]
+        return rows[np.sqrt(np.vecdot(D, D)) > r[rows] * (1 + eps) + eps]
 
-    def ball_with_1(points, p):
-        c, r = p.copy(), 0.0
-        for i in range(points.shape[0]):
-            if math.sqrt((v := points[i] - c).dot(v)) > r * (1 + eps) + eps:
-                c, r = ball_with_2(points[:i], p, points[i])
-        return c, r
-
-    c, r = P[0].copy(), 0.0
-    for i in range(1, P.shape[0]):
-        if math.sqrt((v := P[i] - c).dot(v)) > r * (1 + eps) + eps:
-            c, r = ball_with_1(P[:i], P[i])
-    # Guard against accumulated rounding: enforce actual enclosure.
-    r = max(r, float(np.linalg.norm(pts - c, axis=1).max()))
+    for i in range(1, P.shape[1]):
+        I = outside(np.arange(P.shape[0]), i)
+        c[I], r[I] = P[I, i], 0.0
+        for j in range(i if I.size else 0):
+            J = outside(I, j)
+            if J.size:
+                p = P[J, i]
+                c[J] = 0.5 * (p + P[J, j])
+                D = p - c[J]
+                r[J] = np.sqrt(np.vecdot(D, D))
+            for k in range(j if J.size else 0):
+                K = outside(J, k)
+                ok, c_k, r_k = _circumcenters(P[K, i], P[K, j], P[K, k])
+                c[K[ok]], r[K[ok]] = c_k, r_k
     return c, r
 
 
-def _enclosing_candidate(pts: np.ndarray, r_min: float):
-    if pts.shape[1] == 2 and pts.shape[0] >= 2:
-        c, rad = _min_enclosing_ball_2d(pts)
-    else:
-        c = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        rad = float(np.linalg.norm(pts - c, axis=1).max())
-    return tuple(c), max(rad, r_min)
+def _min_enclosing_ball_2d(sets):
+    """Minimal enclosing ball of each 2-D set: Welzl, move-to-front, seeded,
+    on the hull vertices of a set above 16 points, the sets of each candidate
+    count in lockstep (_welzl_lockstep); a radius is at least the largest
+    distance to a point of its set, a guard against rounding.  Returns the
+    centers (B, 2) and radii (a list), bit for bit those of one-set Welzl
+    with 1-D vector norms: one set is a batch of one."""
+    cands = [x if x.shape[0] <= 16 else _hull_vertices(x) for x in sets]
+    centers, radii = np.empty((len(sets), 2)), np.empty(len(sets))
+    for m in {x.shape[0] for x in cands}:
+        rows = [b for b, x in enumerate(cands) if x.shape[0] == m]
+        centers[rows], radii[rows] = _welzl_lockstep(np.stack([cands[b] for b in rows]))
+    sizes = [x.shape[0] for x in sets]
+    far = np.linalg.norm(np.concatenate(sets) - np.repeat(centers, sizes, axis=0), axis=1)
+    return centers, np.maximum(radii, np.maximum.reduceat(far, np.cumsum([0] + sizes[:-1]))).tolist()
 
 
 def _level_keys(pts: np.ndarray, s: float, r_min: float):
@@ -490,50 +501,61 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
     from then on the ball is the answer.  Nor does the loop start when a lower
     bound on its covers reaches that cost: one pick costs the weight of a level
     whose cells all agree, more picks at least twice the least weight, in the
-    very floats the loop adds, so the bound is exact.  The arc scan builds a
-    circle's levels (_level_keys) once and covers each arc from their columns
-    (_greedy_cover).
+    very floats the loop adds, so the bound is exact.  This is _greedy_cover on
+    a batch of one; the arc scan covers many arcs in one call.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyInput("no points")
-    return _greedy_cover(pts, *_level_keys(pts, s, r_min), s, r_min)
+    return _greedy_cover([pts], s, r_min)[0]
 
 
-def _greedy_cover(pts, cells, keys, w, s: float, r_min: float) -> ContentEstimate:
-    """content_greedy on the points' levels from _level_keys.  The ball is
-    returned before the loop when no cover can be cheaper: a one-pick cover is
-    a level whose cells all agree and costs its w, and, float addition being
-    monotone, two or more picks sum to at least 2 min(w)."""
-    n_levels, n = keys.shape
-    rootd = math.sqrt(pts.shape[1])
-    center, rad = _enclosing_candidate(pts, r_min)
-    enc_sum = (2.0 * rad) ** s
-    one_cell = (keys == keys[:, :1]).all(axis=1)
-    if min(2.0 * w.min(), w[one_cell].min(initial=math.inf)) >= enc_sum:
-        return ContentEstimate(upper=enc_sum, cover=[(center, rad)])
-    covered = np.zeros(n, dtype=bool)
-    picks = []
-    greedy_sum = 0.0
-    while greedy_sum < enc_sum and not covered.all():
-        live = ~covered
-        flat = np.sort(keys[:, live], axis=1).ravel()
-        m = flat.size // n_levels
-        first = np.concatenate(([True], flat[1:] != flat[:-1]))
-        first[::m] = True  # a run never crosses into the next level
-        starts = first.nonzero()[0]
-        # Run lengths; np.diff(append=) would cost more than the sort.
-        c = np.concatenate((starts[1:], [flat.size])) - starts
-        # Flat order is level, then key, ascending, so argmax's first maximum
-        # is the highest score, then the coarser level, then the lower key.
-        i = starts[np.argmax(c / w[starts // m])]
-        j, key = int(i // m), flat[i]
-        side = 2.0 ** (-j)
-        sel = live & (keys[j] == key)
-        cell = cells[j][sel][0] * side + side / 2.0
-        picks.append((tuple(cell), rootd * side / 2.0))
-        greedy_sum += (rootd * side) ** s
-        covered |= sel
-    if enc_sum <= greedy_sum:
-        return ContentEstimate(upper=enc_sum, cover=[(center, rad)])
-    return ContentEstimate(upper=greedy_sum, cover=picks)
+def _greedy_cover(sets, s: float, r_min: float) -> list:
+    """content_greedy of each nonempty set, all of one dimension, in one batch:
+    the enclosing balls in one _min_enclosing_ball_2d call, the levels in one
+    _level_keys call on these sets' points only, and the lower bound on every
+    cover for all at once.  Only the sets it leaves open run the greedy loop."""
+    sizes = [x.shape[0] for x in sets]
+    offsets = np.cumsum([0] + sizes[:-1])
+    cells, keys, w = _level_keys(np.concatenate(sets), s, r_min)
+    n_levels, dim = keys.shape[0], sets[0].shape[1]
+    if dim == 2:
+        centers, radii = _min_enclosing_ball_2d(sets)
+    else:
+        centers = [0.5 * (x.min(axis=0) + x.max(axis=0)) for x in sets]
+        radii = [float(np.linalg.norm(x - c, axis=1).max()) for x, c in zip(sets, centers)]
+    one_cell = np.logical_and.reduceat(keys == np.repeat(keys[:, offsets], sizes, axis=1),
+                                       offsets, axis=1)
+    bound = np.minimum(2.0 * w.min(), np.where(one_cell, w[:, None], math.inf).min(axis=0))
+    out = []
+    for b, (c, rad) in enumerate(zip(centers, radii)):
+        center, rad = tuple(c), max(rad, r_min)
+        enc_sum = (2.0 * rad) ** s
+        out.append(ContentEstimate(upper=enc_sum, cover=[(center, rad)]))
+        if bound[b] >= enc_sum:
+            continue
+        cols = slice(offsets[b], offsets[b] + sizes[b])
+        b_cells, b_keys = cells[:, cols], keys[:, cols]
+        covered, picks, greedy_sum = np.zeros(sizes[b], dtype=bool), [], 0.0
+        while greedy_sum < enc_sum and not covered.all():
+            live = ~covered
+            flat = np.sort(b_keys[:, live], axis=1).ravel()
+            m = flat.size // n_levels
+            first = np.concatenate(([True], flat[1:] != flat[:-1]))
+            first[::m] = True  # a run never crosses into the next level
+            starts = first.nonzero()[0]
+            # Run lengths; np.diff(append=) would cost more than the sort.
+            runs = np.concatenate((starts[1:], [flat.size])) - starts
+            # Flat order is level, then key, ascending, so argmax's first maximum
+            # is the highest score, then the coarser level, then the lower key.
+            i = starts[np.argmax(runs / w[starts // m])]
+            j, key = int(i // m), flat[i]
+            side = 2.0 ** (-j)
+            sel = live & (b_keys[j] == key)
+            cell = b_cells[j][sel][0] * side + side / 2.0
+            picks.append((tuple(cell), math.sqrt(dim) * side / 2.0))
+            greedy_sum += (math.sqrt(dim) * side) ** s
+            covered |= sel
+        if greedy_sum < enc_sum:
+            out[-1] = ContentEstimate(upper=greedy_sum, cover=picks)
+    return out

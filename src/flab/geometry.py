@@ -66,22 +66,29 @@ def circumcenter(A, B, C):
 
     Raises DegenerateTriangle when |cross(B-A, C-A)| < 1e-12 * diam^2.
     """
-    A, B, C = _as_point(A), _as_point(B), _as_point(C)
-    u = B - A
-    v = C - A
-    cross = u[0] * v[1] - u[1] * v[0]
-    diam = max(np.hypot(*u), np.hypot(*v), np.hypot(*(C - B)))
-    if abs(cross) < DEGENERACY_TOL * diam * diam:
+    ok, M, h = _circumcenters(*(_as_point(p)[None] for p in (A, B, C)))
+    if not ok[0]:
         raise DegenerateTriangle("collinear points within tolerance")
+    return M[0], float(h[0])
+
+
+def _circumcenters(A, B, C):
+    """circumcenter of each row triple of the (n, 2) arrays A, B, C; elementwise,
+    so a row's M and h do not depend on the others, with |u|^2 by np.vecdot
+    (BLAS ddot, as u.dot(u)).  Returns (ok, M, h): ok is False where the
+    triangle is degenerate, and M and h are given for the rows of ok."""
+    u, v, w = B - A, C - A, C - B
+    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    diam = np.maximum(np.maximum(np.hypot(u[:, 0], u[:, 1]), np.hypot(v[:, 0], v[:, 1])),
+                      np.hypot(w[:, 0], w[:, 1]))
+    ok = ~(np.abs(cross) < DEGENERACY_TOL * diam * diam)
+    u, v, cross = u[ok], v[ok], cross[ok]
+    bu, bv = np.vecdot(u, u), np.vecdot(v, v)
     # Perpendicular bisector equations 2(B-A).m = |B|^2-|A|^2 etc., solved in
     # the frame centered at A.
-    bu = float(u @ u)
-    bv = float(v @ v)
-    mx = (bu * v[1] - bv * u[1]) / (2.0 * cross)
-    my = (bv * u[0] - bu * v[0]) / (2.0 * cross)
-    M = A + np.array([mx, my])
-    h = float(np.hypot(mx, my))
-    return M, h
+    mx = (bu * v[:, 1] - bv * u[:, 1]) / (2.0 * cross)
+    my = (bv * u[:, 0] - bu * v[:, 0]) / (2.0 * cross)
+    return ok, A[ok] + np.column_stack([mx, my]), np.hypot(mx, my)
 
 
 @dataclass(frozen=True)
@@ -348,7 +355,12 @@ def _diameter(points: np.ndarray) -> float:
     """
     if points.shape[0] < 2:
         return 0.0
-    cand = _hull_vertices(points)
+    # A row strictly between its neighbours on a line along the last axis is
+    # no hull vertex; grid members come in runs of b, each cut to its ends.
+    step = np.diff(points[:, -1])
+    line = (points[1:, :-1] == points[:-1, :-1]).all(axis=1)
+    inner = line[:-1] & line[1:] & (step[:-1] * step[1:] > 0)
+    cand = _hull_vertices(points[np.concatenate(([True], ~inner, [True]))])
     m = cand.shape[0]
     best = 0.0
     block = 2048

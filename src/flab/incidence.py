@@ -22,7 +22,6 @@ from .fractal import (
     _check_key_range,
     _content_scales,
     _greedy_cover,
-    _level_keys,
     _pack,
     _unique_runs,
     _unpack,
@@ -300,16 +299,18 @@ def _content_reaches(
     # kd tree's distance test, each a few ulps of 1 + |coordinates| / rho_min.
     magnitude = max(float(np.abs(pts).max()), *map(abs, z.center))
     slack = 1e-9 * (1.0 + magnitude / rho_min) if rho_min > 0.0 else math.inf
-    scales = [sc for sc in _content_scales(pts, s_prime, delta) if n / (n / sc[0]) < eta]
-    den = np.array([d for d, _, _ in scales])
+    den, reach, count = _content_scales(pts, s_prime, delta)
+    tried = np.flatnonzero(n / (n / den) < eta)
+    den = den[tried]
     ceiling = np.count_nonzero(n / (np.arange(1, n) / den[:, None]) >= eta, axis=1)
     width = np.array([
-        2.0 * (2.0 * math.asin(reach * (1.0 + slack) / (2.0 * rho_min))) * (1.0 + slack) + slack
-        if reach * (1.0 + slack) < 2.0 * rho_min else math.inf  # inf: no ceiling
-        for _, reach, _ in scales
+        2.0 * (2.0 * math.asin(r * (1.0 + slack) / (2.0 * rho_min))) * (1.0 + slack) + slack
+        if r * (1.0 + slack) < 2.0 * rho_min else math.inf  # inf: no ceiling
+        for r in reach[tried].tolist()
     ])
     fits = (ring[np.arange(n) + ceiling[:, None]] > theta + width[:, None]).all(axis=1)
-    return all(fit or n / (count() / d) >= eta for (d, _, count), fit in zip(scales, fits.tolist()))
+    return all(fit or n / (count(i) / d) >= eta
+               for i, d, fit in zip(tried.tolist(), den.tolist(), fits.tolist()))
 
 
 class _ContentBelowEta(InsufficientContent):
@@ -360,10 +361,41 @@ def extract_three_arcs(
 
     The one place that decides the precondition: the circle's content lower
     estimate must reach eta (_require_content), else InsufficientContent.
+    This is scan_circles on one circle.
     """
+    (triple,) = scan_circles([(z, pts)], s_prime, eta, delta=delta)
+    if isinstance(triple, InsufficientContent):
+        raise triple
+    return triple
+
+
+def scan_circles(circles, s_prime: float, eta: float, *, delta: float) -> list:
+    """extract_three_arcs of every (z, pts) in `circles`, in lockstep: each
+    round covers the next arc of every circle still scanning through one
+    _greedy_cover call.  Returns per circle its ArcTriple or the
+    InsufficientContent it raised."""
+    scans = [_arc_scan(z, np.asarray(pts, dtype=float), s_prime, eta, delta) for z, pts in circles]
+    results, sends = [None] * len(scans), dict.fromkeys(range(len(scans)))
+    while sends:
+        arcs = {}
+        for i, content in sends.items():
+            try:
+                arcs[i] = scans[i].send(content)
+            except StopIteration as done:
+                results[i] = done.value
+            except InsufficientContent as err:
+                results[i] = err
+        covers = _greedy_cover(list(arcs.values()), s_prime, delta) if arcs else []
+        sends = {i: est.upper for i, est in zip(arcs, covers)}
+    return results
+
+
+def _arc_scan(z: CircleParam, pts: np.ndarray, s_prime: float, eta: float, delta: float):
+    """extract_three_arcs as a generator: it yields the points of each filled
+    arc whose content it needs next, in scan order, is sent that arc's
+    content_greedy upper estimate, and returns the ArcTriple."""
     if not (0.0 < eta <= 1.0):
         raise InsufficientContent("need 0 < eta <= 1")
-    pts = np.asarray(pts, dtype=float)
     if pts.shape[0] == 0:
         raise InsufficientContent("empty circle cloud")
     theta = circle_angles(z, pts)
@@ -374,19 +406,11 @@ def extract_three_arcs(
     n_arcs = math.ceil(2.0 * math.pi * r / gamma)
     assert n_arcs >= 16
     w = gamma / r
-    # the arcs that hold points and their runs of `order`; nothing sized by n_arcs
-    filled, first, order = _unique_runs(np.minimum((theta / w).astype(np.int64), n_arcs - 1))
-    bounds = np.append(first, order.size)
-    # content_greedy per arc, on the columns of the circle's levels
-    cells, keys, weights = _level_keys(pts, s_prime, delta)
-
-    def arc_content(l: int) -> float:
-        i = filled.searchsorted(l)
-        if i == filled.size or filled[i] != l:
-            return 0.0
-        sel = order[bounds[i] : bounds[i + 1]]
-        return _greedy_cover(pts[sel], cells[:, sel], keys[:, sel], weights, s_prime, delta).upper
-
+    # the arcs that hold points and their runs of `order`; nothing sized by n_arcs.
+    # The scans of a set run side by side, so each keeps only what it reads.
+    filled, bounds, order = _unique_runs(np.minimum((theta / w).astype(np.int64), n_arcs - 1))
+    bounds, theta = np.append(bounds, order.size), None
+    arc = lambda i: pts[order[bounds[i] : bounds[i + 1]]]
     target = eta / 8.0
     tol = gamma ** s_prime
 
@@ -394,31 +418,23 @@ def extract_three_arcs(
         """Smallest end arc in [start+1, stop] (at least two arcs) with cumulative
         content >= target.  Only filled arcs move the sum; a first arc that
         reaches the target alone ends the scan at start + 1."""
-        cum = 0.0
-        for l in map(int, filled[filled.searchsorted(start) : filled.searchsorted(stop + 1)]):
-            cum += arc_content(l)
+        cum, lo = 0.0, filled.searchsorted(start)
+        for i, l in enumerate(filled[lo : filled.searchsorted(stop + 1)].tolist(), lo):
+            cum += yield arc(i)
             if cum >= target:
-                return (l, cum) if l > start else (start + 1, cum + arc_content(start + 1))
+                if l == start and i + 1 < filled.size and filled[i + 1] == start + 1:
+                    cum += yield arc(i + 1)
+                return max(l, start + 1), cum
         raise InsufficientContent("arc scan exhausted the circle")
 
-    e1, c1 = scan(0, n_arcs - 13)
-    e2, c2 = scan(e1 + 2, n_arcs - 9)
-    e3, c3 = scan(e2 + 2, n_arcs - 3)
+    e1, c1 = yield from scan(0, n_arcs - 13)
+    e2, c2 = yield from scan(e1 + 2, n_arcs - 9)
+    e3, c3 = yield from scan(e2 + 2, n_arcs - 3)
     for c in (c1, c2, c3):
         if not (target - tol <= c <= 3.0 * eta / 16.0 + tol):
             raise InsufficientContent("arc content escaped the bracket")
-    intervals = (
-        (0.0, (e1 + 1) * w),
-        ((e1 + 2) * w, (e2 + 1) * w),
-        ((e2 + 2) * w, (e3 + 1) * w),
-    )
-    triple = ArcTriple(
-        z=z,
-        intervals=intervals,
-        gamma=gamma,
-        tau=gamma / math.pi,
-        contents=(c1, c2, c3),
-    )
+    ends = ((0.0, (e1 + 1) * w), ((e1 + 2) * w, (e2 + 1) * w), ((e2 + 2) * w, (e3 + 1) * w))
+    triple = ArcTriple(z, ends, gamma, gamma / math.pi, (c1, c2, c3))
     if triple.min_chord_separation() < gamma / math.pi - 1e-12:
         raise InsufficientContent("arc separation collapsed")
     return triple

@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 
 from flab import fractal as fr
 from flab.errors import ConfigInvalid, DegenerateTriangle, EmptyInput
-from flab.geometry import _hull_vertices, circumcenter
+from flab.geometry import _hull_vertices
 
 
 def line_grid(k):
@@ -46,10 +46,23 @@ def index_rows(dim):
     )
 
 
+def circumcenter_oracle(A, B, C):
+    """geometry.circumcenter as it was written for one triangle, |u|^2 as u @ u."""
+    u, v = B - A, C - A
+    cross = u[0] * v[1] - u[1] * v[0]
+    diam = max(np.hypot(*u), np.hypot(*v), np.hypot(*(C - B)))
+    if abs(cross) < 1e-12 * diam * diam:
+        raise DegenerateTriangle("collinear points within tolerance")
+    bu, bv = float(u @ u), float(v @ v)
+    mx = (bu * v[1] - bv * u[1]) / (2.0 * cross)
+    my = (bv * u[0] - bu * v[0]) / (2.0 * cross)
+    return A + np.array([mx, my]), float(np.hypot(mx, my))
+
+
 def ball_oracle(pts):
     """_min_enclosing_ball_2d as it was written first, its 1-D distances by
     np.linalg.norm: Welzl, move-to-front, on the hull vertices above 16
-    points, in the seeded order."""
+    points, in the seeded order, one set at a time."""
     cand = _hull_vertices(pts) if pts.shape[0] > 16 else pts
     P = cand[np.random.default_rng(0).permutation(cand.shape[0])]
     eps = 1e-12
@@ -63,7 +76,7 @@ def ball_oracle(pts):
         for i in range(points.shape[0]):
             if np.linalg.norm(points[i] - c) > r * (1 + eps) + eps:
                 try:
-                    c, r = circumcenter(p, q, points[i])
+                    c, r = circumcenter_oracle(p, q, points[i])
                 except DegenerateTriangle:
                     pass
         return c, r
@@ -492,18 +505,10 @@ class TestContent:
         assert est.upper == upper
         assert est.cover == cover
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(0, 2 ** 32 - 1),
-        st.integers(2, 40),
-        st.sampled_from(["uniform", "lattice", "ring"]),
-        st.floats(-6.0, 1.0),
-    )
-    # 17 points: the first count that goes through the hull
-    @example(0, 17, "uniform", 0.0)
-    def test_ball_matches_norm_oracle(self, seed, n, kind, log_scale):
-        # uniform points, lattice points with repeats, or points near one
-        # circle, scaled by 1e-6 to 10 and shifted
+    @staticmethod
+    def ball_set(seed, n, kind, log_scale):
+        """Uniform points, lattice points with repeats, or points near one
+        circle, scaled by 10^log_scale and shifted."""
         rng = np.random.default_rng(seed)
         if kind == "uniform":
             pts = rng.uniform(-1.0, 1.0, (n, 2))
@@ -512,11 +517,55 @@ class TestContent:
         else:
             ang = rng.uniform(0.0, 2.0 * math.pi, n)
             pts = np.column_stack([np.cos(ang), np.sin(ang)]) * rng.uniform(0.999, 1.001, (n, 1))
-        pts = pts * 10.0 ** log_scale + rng.uniform(-1.0, 1.0, 2)
-        center, rad = fr._min_enclosing_ball_2d(pts)
-        want_center, want_rad = ball_oracle(pts)
-        assert center.tobytes() == want_center.tobytes()
-        assert rad == want_rad and type(rad) is type(want_rad)
+        return pts * 10.0 ** log_scale + rng.uniform(-1.0, 1.0, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2 ** 32 - 1),
+                st.one_of(st.integers(2, 4), st.integers(2, 40)),
+                st.sampled_from(["uniform", "lattice", "ring"]),
+                st.floats(-6.0, 1.0),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    # 17 points: the first count that goes through the hull; repeated sizes
+    # share a lockstep group, and a hull set may join a direct set's size
+    @example([(0, 17, "uniform", 0.0)])
+    @example([(0, 3, "uniform", 0.0), (1, 3, "lattice", -3.0), (2, 3, "ring", 1.0),
+              (3, 2, "uniform", -6.0), (4, 30, "ring", 0.0), (5, 40, "lattice", 0.0)])
+    def test_ball_matches_norm_oracle(self, specs):
+        # one batch of sets of mixed kinds, sizes and scales from 1e-6 to 10:
+        # every row is bit for bit the one-set Welzl with np.linalg.norm
+        sets = [self.ball_set(*spec) for spec in specs]
+        centers, radii = fr._min_enclosing_ball_2d(sets)
+        assert len(radii) == len(sets)
+        for pts, center, rad in zip(sets, centers, radii):
+            want_center, want_rad = ball_oracle(pts)
+            assert center.tobytes() == want_center.tobytes()
+            assert rad == want_rad and type(rad) is type(want_rad)
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "subnormal", "huge"])
+    def test_vecdot_rows_are_ddot(self, kind):
+        # the Welzl kernel's premise: np.vecdot(D, D) on a C-contiguous
+        # (n, 2) difference of gathered rows is v.dot(v) per row, bit for bit
+        rng = np.random.default_rng(0)
+        scale = {"random": 1.0, "lattice": 1.0, "subnormal": 1e-310, "huge": 1e150}[kind]
+        X = rng.uniform(-1.0, 1.0, (20000, 2)) * scale
+        if kind == "lattice":
+            X = np.round(X * 8.0) / 8.0
+        c = X[rng.permutation(X.shape[0])]
+        rows = np.arange(0, X.shape[0], 2)
+        D = X[rows] - c[rows]
+        assert D.flags.c_contiguous
+        got = np.vecdot(D, D)
+        want = np.array([d.dot(d) for d in D])
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.array([d @ d for d in D]).tobytes()  # circumcenter's form
+        assert np.sqrt(got).tobytes() == np.array([math.sqrt(x) for x in want.tolist()]).tobytes()
 
     def test_welzl_order_is_the_seeded_permutation(self):
         for n in range(2, 65):

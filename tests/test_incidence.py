@@ -296,44 +296,66 @@ class TestExtractThreeArcs:
         assert tri.intervals[1] == pytest.approx(((e1 + 2) * w, (e2 + 1) * w))
         assert tri.intervals[2] == pytest.approx(((e2 + 2) * w, (e3 + 1) * w))
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2 ** 32 - 1),
-        k=st.integers(6, 8),
-        s_prime=st.sampled_from([0.55, 0.75, 1.0]),
-        eta_rule=st.sampled_from(["auto", "paper", 0.4, 0.75, 1.0]),
-        spread=st.sampled_from([0.1, 0.4, 0.7, 1.0]),
-        jitter=st.sampled_from([0.0, 0.25, 1.0]),
-        sparse=st.booleans(),
-    )
-    @example(seed=0, k=6, s_prime=1.0, eta_rule=1.0, spread=1.0, jitter=0.0, sparse=False)
-    def test_random_circle_scan_matches_oracle(
-        self, seed, k, s_prime, eta_rule, spread, jitter, sparse
-    ):
-        # points every delta / r along part of a random circle, or an eighth
-        # as many at random angles in random order, whose gaps let a greedy
-        # cover beat the enclosing ball; jittered off the circle by up to
-        # jitter * delta.  The oracle decides the content with content_lower,
-        # bins the arcs with circle_angles, covers each with the public
-        # content_greedy and replays the three scans and checks.
+    @staticmethod
+    def random_circle(seed, delta, spread, jitter, sparse, dense):
+        """Points every delta / r along part of a random circle (three times
+        as many when dense), or an eighth as many at random angles in random
+        order, whose gaps let a greedy cover beat the enclosing ball;
+        jittered off the circle by up to jitter * delta."""
         rng = np.random.default_rng(seed)
-        delta = 2.0 ** (-k)
         z = CircleParam(tuple(rng.uniform(-0.3, 0.3, 2)), rng.uniform(0.2, 2.0))
-        span, step = 2.0 * math.pi * spread, delta / z.radius
+        span, step = 2.0 * math.pi * spread, delta / z.radius / (3.0 if dense else 1.0)
         if sparse:
             ang = rng.uniform(0.0, span, int(span / step) // 8 + 1)
         else:
             ang = np.arange(0.0, span, step)
         ang = ang + rng.uniform(0.0, 2.0 * math.pi)
         rad = z.radius + jitter * delta * rng.uniform(-1.0, 1.0, ang.size)
-        pts = np.column_stack([z.center[0] + rad * np.cos(ang), z.center[1] + rad * np.sin(ang)])
+        return z, np.column_stack([z.center[0] + rad * np.cos(ang), z.center[1] + rad * np.sin(ang)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(6, 8),
+        s_prime=st.sampled_from([0.55, 0.75, 1.0]),
+        eta_rule=st.sampled_from(["auto", "paper", 0.4, 0.75, 1.0]),
+        shapes=st.lists(
+            st.tuples(
+                st.integers(0, 2 ** 32 - 1),
+                st.sampled_from([0.1, 0.4, 0.7, 1.0]),
+                st.sampled_from([0.0, 0.25, 1.0]),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(k=6, s_prime=1.0, eta_rule=1.0, shapes=[(0, 1.0, 0.0, False, False)])
+    # arcs of 16-50 points at k = 8 and eta 1: the hull path inside a batch
+    @example(k=8, s_prime=1.0, eta_rule=1.0, shapes=[
+        (1, 1.0, 0.0, False, True), (2, 0.7, 0.25, False, False), (3, 1.0, 1.0, False, True)])
+    def test_random_circle_scan_matches_oracle(self, k, s_prime, eta_rule, shapes):
+        # each circle alone matches the oracle, which decides the content
+        # with content_lower, bins the arcs with circle_angles, covers each
+        # with the public content_greedy and replays the three scans and
+        # checks; the set driver, all circles at once, gives each the same
+        delta = 2.0 ** (-k)
+        circles = [self.random_circle(seed, delta, *shape) for seed, *shape in shapes]
         if eta_rule == "auto":
             eta = min(1.0, max(1.0 / k ** 2, 16.0 * (2.0 * delta) ** s_prime))
         else:
             eta = 1.0 / k ** 2 if eta_rule == "paper" else eta_rule
         if (eta / 16.0) ** (1.0 / s_prime) < 1e-3:  # keep the arc count near 10^4
             eta = 16.0 * 1e-3 ** s_prime
-        assert_scan_matches_oracle(z, pts, s_prime, eta, delta)
+        alone = [assert_scan_matches_oracle(z, pts, s_prime, eta, delta) for z, pts in circles]
+        together = inc.scan_circles(circles, s_prime, eta, delta=delta)
+        for got, want in zip(together, alone, strict=True):
+            if isinstance(want, InsufficientContent):
+                assert isinstance(got, InsufficientContent) and str(got) == str(want)
+            else:
+                assert (got.intervals, got.contents, got.tau) == (
+                    want.intervals, want.contents, want.tau
+                )
 
     @pytest.mark.parametrize("arc1", ["empty", "filled"])
     def test_first_arc_alone_ends_the_scan_one_arc_on(self, arc1):
@@ -377,7 +399,9 @@ class TestExtractThreeArcs:
         # the triples-wide config (s' = 1, eta 0.75 at k1 = 6): 2-3 points an
         # arc, and the bound proves the enclosing ball wins on every arc
         # before the greedy loop starts.  The levels come with None for their
-        # cells, so a greedy pick would raise TypeError.
+        # cells, so a greedy pick would raise TypeError.  The set's arcs are
+        # covered in lockstep: one batch a round, as many rounds as the
+        # longest single circle's scan has arcs, and the same points in all.
         fs = gen.assemble_furstenberg(
             FurstenbergConfig(s=1.0, t=1.0, k1=6, preset="concentric", seed=0)
         )
@@ -388,10 +412,17 @@ class TestExtractThreeArcs:
             _, keys, w = level_keys(pts, s, r_min)
             return np.full(keys.shape, None, dtype=object), keys, w
 
-        with mock.patch.object(inc, "_level_keys", no_cells):
+        with mock.patch.object(fr, "_level_keys", no_cells):
             data = cli._arc_data(fs, 1.0, 0.75)
-        assert len(covered) == len(fs.circles)
+            rounds, points = len(covered), sum(covered)
+            alone = []
+            for z, pts in zip(fs.circles, (pts for _, pts in data)):
+                covered.clear()
+                inc.extract_three_arcs(z, pts, 1.0, 0.75, delta=fs.config.delta)
+                alone.append((len(covered), sum(covered)))
         assert all(triple is not None for triple, _ in data)
+        assert rounds == max(n for n, _ in alone) < len(fs.circles)
+        assert points == sum(p for _, p in alone)
 
     def test_semicircle_concentration(self):
         k = 9
@@ -499,7 +530,7 @@ class TestContentDecision:
 
     @staticmethod
     def finest_den(pts, s_prime, delta):
-        return next(fr._content_scales(pts, s_prime, delta))[0]
+        return fr._content_scales(pts, s_prime, delta)[0][0]
 
     def test_one_point(self):
         # no m < n = 1 exists, so the ceiling bound T is 0
