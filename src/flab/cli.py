@@ -17,8 +17,9 @@ field or a non-number float field included, as are a `k_range` whose finest
 scale is negative or above 1023 and a `grid_k` below -1023, whose scale 2^k
 or cell side overflows a float; every command, and `report` for every stage,
 checks its fields before it writes, so --out stays empty),
-3 invariant violation or any other library error, 4 missing input file,
-5 experiment degeneracy.
+3 invariant violation or any other library error (a scale too fine for a
+cell key, found before any cell array is allocated, and an allocation that
+numpy refuses included), 4 missing input file, 5 experiment degeneracy.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _path(config: dict, name: str, command: str) -> str:
     return config[name]
 
 
-def cmd_gen(config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet = None):
+def cmd_gen(config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet = None) -> dict:
     """Write v.csv and cloud.csv of `fset`, or of the set `config` builds."""
     if fset is None:
         fset = gen.assemble_furstenberg(_generator_config(config, seed))
@@ -101,7 +102,7 @@ def cmd_gen(config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet
         cfg.realized_s,
         cfg.realized_t,
     )
-    return fset, {
+    return {
         "command": "gen",
         "config": {
             "s": cfg.s,
@@ -340,7 +341,7 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
         raise ConfigInvalid("v must be a 3-column (center, radius) cloud")
     k1 = v.k
     grid_k, params = _multiplicity_fields(config, k1)
-    delta = 2.0 ** (-k1)
+    delta = v.delta
     mu = fr.frostman_measure(v).scaled(1.0 / (k1 * k1))
     field = inc.multiplicity_field(mu, delta, grid_k)
     write_cells_m(os.path.join(outdir, "cells_m.csv"), field)
@@ -399,12 +400,13 @@ def cmd_report(config: dict, seed, outdir: str) -> dict:
     }
     k_range, _, _ = _boxdim_fields(box_cfg)
     _triples_fields(triples_cfg)
-    _multiplicity_fields(mult_cfg, k1)
+    grid_k, _ = _multiplicity_fields(mult_cfg, k1)
     walls = {}
     t0 = time.perf_counter()
     fset = gen.assemble_furstenberg(gen_cfg)
-    inc._check_scale(fset.cloud.points, max(k_range))  # before gen writes a file
-    fset, gen_summary = cmd_gen(None, None, outdir, fset=fset)
+    fr._check_scale(fset.cloud.points, max(k_range))  # before gen writes a file
+    inc._check_annuli(fset.v.cloud.points, fset.v.cloud.delta, grid_k)
+    gen_summary = cmd_gen(None, None, outdir, fset=fset)
     walls["gen"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     box_summary = cmd_boxdim(box_cfg, None, outdir, cloud=fset.cloud)
@@ -428,7 +430,7 @@ def cmd_report(config: dict, seed, outdir: str) -> dict:
 
 
 _COMMANDS = {
-    "gen": lambda config, seed, outdir: cmd_gen(config, seed, outdir)[1],
+    "gen": cmd_gen,
     "boxdim": cmd_boxdim,
     "lemma3c": cmd_lemma3c,
     "triples": cmd_triples,
@@ -462,7 +464,7 @@ def main(argv=None) -> int:
     except DegenerateExperiment as e:
         log.error("degenerate experiment: %s", e)
         return EXIT_DEGENERATE
-    except FlabError as e:
+    except (FlabError, MemoryError) as e:
         log.error("invariant violation: %s", e)
         return EXIT_INVARIANT
 

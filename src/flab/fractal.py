@@ -17,6 +17,7 @@ usual small-cover regularization at scale delta).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,14 +27,18 @@ from .errors import ConfigInvalid, EmptyInput
 from .geometry import _circumcenters, _hull_vertices
 
 
-def _check_key_range(lo, hi, dim: int) -> None:
-    """Raise ConfigInvalid unless cell indices in [lo, hi] fit the 63 // dim
-    bits per axis of a `dim`-axis key."""
-    bits = 63 // dim
-    if lo < -(1 << (bits - 1)) or hi >= 1 << (bits - 1):
+def _check_scale(pts: np.ndarray, k: int, pad: int = 0) -> None:
+    """Raise ConfigInvalid unless every cell index floor(x 2^k) +- pad fits a key,
+    63 // dim bits an axis.  The bounds are integers, so the extreme x 2^k decide:
+    ldexp(x, k), exact like x * 2^k, k clipped to +-2000, past which no fit changes."""
+    if not pts.size:
+        return
+    bits, lo, hi = 63 // pts.shape[1] - 1, pts.min(), pts.max()
+    with np.errstate(over="ignore"):  # an inf x 2^k fails the range check
+        lo, hi = np.ldexp([lo, hi], min(max(k, -2000), 2000)) if k else (lo, hi)
+    if not -(1 << bits) <= lo - pad <= hi + pad < 1 << bits:
         raise ConfigInvalid(
-            f"cell index outside [-2^{bits - 1}, 2^{bits - 1}): scale too fine "
-            f"for the coordinate range"
+            f"cell index outside [-2^{bits}, 2^{bits}): scale too fine for the coordinate range"
         )
 
 
@@ -47,8 +52,7 @@ def _pack(idx: np.ndarray) -> np.ndarray:
     """
     bits = 63 // idx.shape[1]
     half = 1 << (bits - 1)
-    if idx.size:
-        _check_key_range(idx.min(), idx.max(), idx.shape[1])
+    _check_scale(idx, 0)
     key = idx[:, 0].astype(np.int64) + half
     for axis in range(1, idx.shape[1]):
         key = (key << bits) | (idx[:, axis] + half)
@@ -114,9 +118,9 @@ class PointCloud:
         """Build a cloud, deduplicating at resolution delta/4 (first wins)."""
         cloud = cls(np.asarray(points, dtype=float), k)
         if len(cloud) > 1:
-            step = cloud.delta / 4.0
+            _check_scale(cloud.points, cloud.k + 2)  # x / (delta / 4) is x 2^(k+2)
             _, starts, order = _unique_runs(
-                _pack(np.floor(cloud.points / step).astype(np.int64))
+                _pack(np.floor(cloud.points / (cloud.delta / 4.0)).astype(np.int64))
             )
             cloud = cls(cloud.points[np.sort(order[starts])], k)
         return cloud
@@ -150,22 +154,18 @@ def save_csv(cloud: PointCloud, path) -> None:
 
 
 def load_csv(path) -> PointCloud:
+    """Read a cloud CSV; one np.loadtxt parses its rows, ASCII values without `_`."""
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
         if header != "dim,k":
             raise ValueError(f"bad cloud header: {header!r}")
-        dim_s, k_s = fh.readline().strip().split(",")
-        dim, k = int(dim_s), int(k_s)
-        pts = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            vals = [float(v) for v in line.split(",")]
-            if len(vals) != dim:
-                raise ValueError("row arity does not match dim")
-            pts.append(vals)
-    points = np.array(pts, dtype=float).reshape(len(pts), dim)
+        dim, k = map(int, fh.readline().strip().split(","))
+        rows = filter(str.strip, fh)  # loadtxt fails on a whitespace-only line
+        first = next(rows, None)  # and warns on an empty body
+        points = np.empty((0, dim)) if first is None else np.loadtxt(
+            itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2)
+    if points.shape[1] != dim:
+        raise ValueError("row arity does not match dim")
     return PointCloud(points, k)
 
 

@@ -111,12 +111,8 @@ class TriangleFrame:
         dmin = min(np.hypot(*(B - A)), np.hypot(*(C - A)), np.hypot(*(C - B)))
         if dmin < 2.0 * c:
             raise HypothesisViolated("pairwise separation below 2*sep_scale")
-        u = B - A
-        v = C - A
-        cross = abs(u[0] * v[1] - u[1] * v[0])
-        diam = max(np.hypot(*u), np.hypot(*v), np.hypot(*(C - B)))
-        degenerate = cross < DEGENERACY_TOL * diam * diam
-        return cls(tuple(A), tuple(B), tuple(C), c, bool(degenerate))
+        ok, _, _ = _circumcenters(A[None], B[None], C[None])
+        return cls(tuple(A), tuple(B), tuple(C), c, not ok[0])
 
     def points(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c], dtype=float)

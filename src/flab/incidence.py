@@ -19,7 +19,7 @@ from .errors import DegenerateFit, EmptyInput, InsufficientContent
 from .fractal import (
     DiscreteMeasure,
     PointCloud,
-    _check_key_range,
+    _check_scale,
     _content_scales,
     _greedy_cover,
     _pack,
@@ -55,6 +55,7 @@ def box_count(cloud_or_points, k: int) -> CoverGrid:
     )
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyInput("no points to count")
+    _check_scale(pts, k)  # an index past int64 breaks the cast
     idx = np.floor(pts * (1 << k)).astype(np.int64)
     _, starts, order = _unique_runs(_pack(idx))
     return CoverGrid(cells=idx[order[starts]])
@@ -82,13 +83,6 @@ def _grid_counts(grid: np.ndarray, ks) -> dict:
         if k in ks:
             counts[k] = int(np.count_nonzero(grid))
     return counts
-
-
-def _check_scale(pts: np.ndarray, k: int) -> None:
-    """Raise ConfigInvalid unless every floor(x 2^k) fits a key; the extreme x decide."""
-    with np.errstate(over="ignore"):  # an inf index fails the range check
-        lo, hi = np.floor(np.array([pts.min(), pts.max()]) * (1 << k))
-    _check_key_range(lo, hi, pts.shape[1])
 
 
 def box_counts_streaming(chunks, ks) -> dict:
@@ -345,7 +339,7 @@ def auto_eta(s_prime: float, delta: float, k1: int) -> float:
     Takes the classical (log 1/delta)^-2 = k1^-2 when the induced arc length
     gamma stays >= 2*delta, else raises eta just enough; fails when that
     pushes eta above 1.  Whether a circle's content reaches it is decided by
-    extract_three_arcs.
+    _arc_scan, which scan_circles runs for every circle.
     """
     eta = max(1.0 / (k1 * k1), 16.0 * (2.0 * delta) ** s_prime)
     if eta > 1.0 + 1e-12:
@@ -564,12 +558,19 @@ def _annulus_cells(atoms: np.ndarray, delta: float, g: float):
     return atom[order], keys[order]
 
 
+def _check_annuli(atoms: np.ndarray, delta: float, grid_k: int) -> None:
+    """Raise ConfigInvalid unless each annulus' box, padded by one cell, fits a key."""
+    r_out = atoms[:, 2:] + delta
+    _check_scale(np.concatenate([atoms[:, :2] - r_out, atoms[:, :2] + r_out]), grid_k, 1)
+
+
 def multiplicity_field(measure: DiscreteMeasure, delta: float, grid_k: int) -> MultiplicityField:
     """m(w) = sum of weights of atoms z = (x, r) with | ||w-x|| - r | <= delta,
     evaluated at the centers w of cells of side 2^-grid_k.
 
     The accumulation happens in ascending atom order.
     """
+    _check_annuli(measure.points, delta, grid_k)
     atom, keys = _annulus_cells(measure.points, delta, 2.0 ** (-grid_k))
     uniq, _, _ = _unique_runs(keys)
     pos = np.searchsorted(uniq, keys)

@@ -225,6 +225,18 @@ def test_non_string_path_exit2(command, config, tmp_path):
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+def run_python(args):
+    """Run python with `args` on this checkout's source; the finished process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+FINE_SCALE_LINE = ("invariant violation: cell index outside [-2^30, 2^30): scale too fine "
+                   "for the coordinate range")
+
+
 def test_report_scale_too_fine_exit3_before_writing(tmp_path):
     # k = 30 puts the cloud's cell indices past a 2-D key, which only the
     # built cloud shows (k = 29 passes at this config): report checks the
@@ -232,18 +244,56 @@ def test_report_scale_too_fine_exit3_before_writing(tmp_path):
     generator = {"s": 1, "t": 1, "k1": 6, "preset": "concentric", "seed": 0}
     cfg = write_json(tmp_path / "r.json", {"generator": generator, "k_range": [28, 29, 30]})
     out = tmp_path / "o"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "flab.cli", "report", "--config", cfg, "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python(["-m", "flab.cli", "report", "--config", cfg, "--out", out])
     assert proc.returncode == 3
     assert os.listdir(out) == []
+    assert proc.stderr.splitlines() == [FINE_SCALE_LINE]
+
+
+# A grid_k whose cells are too fine for a 2-D key is found from the annuli's
+# extreme cells before any cell row is built (a unit annulus at grid_k 40
+# would ask for 16 TiB of rows), however fine: past grid_k 1074 the cell side
+# 2^-grid_k is 0.  report checks V before gen writes.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,grid_k", [("multiplicity", 40), ("multiplicity", 200),
+                                            ("multiplicity", 1023), ("multiplicity", 1100),
+                                            ("multiplicity", 10**20), ("report", 40)])
+def test_grid_k_too_fine_exit3_before_rows(command, grid_k, tmp_path, monkeypatch):
+    monkeypatch.setattr(inc, "_annulus_cells", mock.Mock(side_effect=AssertionError))
+    fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
+    config = {"v": str(tmp_path / "v.csv")} if command == "multiplicity" else {
+        "generator": REPORT_CFG}
+    cfg = write_json(tmp_path / "c.json", {**config, "grid_k": grid_k})
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert os.listdir(tmp_path / "o") == []
+
+
+@pytest.mark.parametrize("grid_k", [40, 200, 1023])
+def test_grid_k_too_fine_one_stderr_line(grid_k, tmp_path):
+    fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0]]), 6), tmp_path / "v.csv")
+    cfg = write_json(tmp_path / "m.json", {"v": str(tmp_path / "v.csv"), "grid_k": grid_k})
+    proc = run_python(["-m", "flab.cli", "multiplicity", "--config", cfg, "--out", tmp_path / "o"])
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [FINE_SCALE_LINE]
+
+
+def test_memory_error_exit3_one_line(tmp_path):
+    # a stub command stands in for an allocation numpy refuses
+    stub = ("import sys; from flab import cli\n"
+            "def refuse(config, seed, outdir):\n"
+            "    raise MemoryError('Unable to allocate 4.06 GiB for an array')\n"
+            "cli._COMMANDS['lemma3c'] = refuse\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    cfg = write_json(tmp_path / "l.json", {"trials": 1})
+    proc = run_python(["-c", stub, "lemma3c", "--config", cfg, "--out", tmp_path / "o"])
+    assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
-        "invariant violation: cell index outside [-2^30, 2^30): scale too fine for the "
-        "coordinate range"
-    ]
+        "invariant violation: Unable to allocate 4.06 GiB for an array"]
+
+
+def test_gen_dispatches_to_cmd_gen():
+    # the table holds the command itself, so a tracer that wraps cmd_gen sees gen
+    assert cli._COMMANDS["gen"] is cli.cmd_gen
 
 
 def test_library_error_exit3(tmp_path, monkeypatch):

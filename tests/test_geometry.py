@@ -118,6 +118,26 @@ class TestThreeCircleBound:
         assert frame.degenerate
         assert isinstance(geo.three_circle_bound(frame, 0.01), geo.EmptyRegion)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+        st.floats(-3.0, 3.0),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(-18, 0)),
+    )
+    def test_degenerate_matches_one_frame_test(self, ab, t, off):
+        # C near the line AB, off it by up to 1e-18 .. 1; the frame's flag is
+        # _circumcenters' test, oracle the cross product test it once ran itself
+        A, B = np.array(ab[:2]), np.array(ab[2:])
+        C = A + t * (B - A) + np.array(off[:2]) * 10.0 ** off[2]
+        u, v = B - A, C - A
+        diam = max(np.hypot(*u), np.hypot(*v), np.hypot(*(C - B)))
+        degenerate = abs(u[0] * v[1] - u[1] * v[0]) < geo.DEGENERACY_TOL * diam * diam
+        try:
+            frame = geo.TriangleFrame.create(A, B, C, 1e-9)
+        except HypothesisViolated:  # two points closer than 2e-9
+            return
+        assert frame.degenerate == degenerate
+
     def test_width_hypothesis(self):
         with pytest.raises(HypothesisViolated):
             geo.three_circle_bound(equilateral_frame(), 0.2)

@@ -69,6 +69,29 @@ class TestBoxCount:
         grid = inc.box_count(pts, 6)
         assert set(map(tuple, grid.cells.tolist())) == brute_box_count(pts, 6)
 
+    # box_count and PointCloud.create check the scale before the int64 cast,
+    # so a scale too fine raises ConfigInvalid, not numpy's cast warning first
+    @pytest.mark.filterwarnings("error")
+    def test_scale_too_fine_raises_before_cast(self):
+        pts = np.array([[0.5, 0.25], [0.75, -0.5]])
+        with pytest.raises(ConfigInvalid):
+            inc.box_count(pts, 70)
+        with pytest.raises(ConfigInvalid):
+            fr.PointCloud.create(pts, 70)
+
+    @pytest.mark.filterwarnings("error")
+    def test_scale_check_edge(self):
+        # the largest x whose cell index fits a 2-D key at k = 30 (create
+        # counts at k + 2) and the next float, whose index is 2^30
+        fits = np.array([[0.0, 0.0], [1.0 - 2.0 ** -31, 0.5]])
+        assert inc.box_count(fits, 30).count == 2
+        assert len(fr.PointCloud.create(fits, 28)) == 2
+        past = np.array([[0.0, 0.0], [1.0, 0.5]])
+        with pytest.raises(ConfigInvalid):
+            inc.box_count(past, 30)
+        with pytest.raises(ConfigInvalid):
+            fr.PointCloud.create(past, 28)
+
     def test_streaming_matches_direct(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-2, 2, (5000, 2))
@@ -988,3 +1011,13 @@ class TestThresholds:
         for threshold in m + between + [0.0, m[0] / 2.0, m[-1] * 2.0, math.inf]:
             expect = [per_atom_low_multiplicity(i, field, threshold) for i in range(len(mu))]
             assert low_multiplicity_rows(field, threshold) == expect
+
+
+def test_annuli_scale_edge():
+    # a unit annulus at delta 2^-6 reaches 1 + 2^-6; padded by one cell its
+    # extreme index is 2^29 + 2^23 + 1 at grid_k 29, past 2^30 at grid_k 30.
+    # Only the check runs: the rows at grid_k 29 would not fit in memory.
+    atoms = np.array([[0.0, 0.0, 1.0]])
+    inc._check_annuli(atoms, 2.0 ** -6, 29)
+    with pytest.raises(ConfigInvalid):
+        inc._check_annuli(atoms, 2.0 ** -6, 30)
