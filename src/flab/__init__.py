@@ -19,7 +19,6 @@ from .errors import (
     OutOfAnnulus,
 )
 from .fractal import (
-    ContentEstimate,
     DeltaQSet,
     DiscreteMeasure,
     PointCloud,

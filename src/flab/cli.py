@@ -25,6 +25,7 @@ numpy refuses included), 4 missing input file, 5 experiment degeneracy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -104,14 +105,7 @@ def cmd_gen(config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet
     )
     return {
         "command": "gen",
-        "config": {
-            "s": cfg.s,
-            "t": cfg.t,
-            "k1": cfg.k1,
-            "preset": cfg.preset,
-            "seed": cfg.seed,
-            "cantor": list(cfg.cantor) if cfg.cantor else None,
-        },
+        "config": dataclasses.asdict(cfg),
         "realized_s": cfg.realized_s,
         "realized_t": cfg.realized_t,
         "n_circles": len(fset.circles),

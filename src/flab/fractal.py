@@ -5,13 +5,13 @@ top-down dyadic selection, uniform discrete (Frostman-type) measures, and
 Hausdorff-content estimation from above (content_greedy) and below
 (content_lower).
 
-Content conventions: covers are recorded as (center, radius) pairs and a ball
-contributes (2*radius)**s, i.e. diameter-based content.  The lower estimate,
-content_lower, is a uniform-mass pigeonhole: a set of diameter d containing a
-data point holds at most as many points as the fullest 2x2 block of side-d
-grid cells, so any cover's cost is at least #P / max_d [blockcount(d) / d^s].
-It is a lower bound for the content of the delta-fattened cloud (up to the
-usual small-cover regularization at scale delta).
+Content conventions: a cover ball of radius r contributes (2r)**s, i.e.
+diameter-based content.  The lower estimate, content_lower, is a uniform-mass
+pigeonhole: a set of diameter d containing a data point holds at most as many
+points as the fullest 2x2 block of side-d grid cells, so any cover's cost is
+at least #P / max_d [blockcount(d) / d^s].  It is a lower bound for the
+content of the delta-fattened cloud (up to the usual small-cover
+regularization at scale delta).
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ def _check_scale(pts: np.ndarray, k: int, pad: int = 0) -> None:
     if not pts.size:
         return
     bits, lo, hi = 63 // pts.shape[1] - 1, pts.min(), pts.max()
-    with np.errstate(over="ignore"):  # an inf x 2^k fails the range check
-        lo, hi = np.ldexp([lo, hi], min(max(k, -2000), 2000)) if k else (lo, hi)
+    if k:
+        with np.errstate(over="ignore"):  # an inf x 2^k fails the range check
+            lo, hi = np.ldexp([lo, hi], min(max(k, -2000), 2000))
     if not -(1 << bits) <= lo - pad <= hi + pad < 1 << bits:
         raise ConfigInvalid(
             f"cell index outside [-2^{bits}, 2^{bits}): scale too fine for the coordinate range"
@@ -162,8 +163,13 @@ def load_csv(path) -> PointCloud:
         dim, k = map(int, fh.readline().strip().split(","))
         rows = filter(str.strip, fh)  # loadtxt fails on a whitespace-only line
         first = next(rows, None)  # and warns on an empty body
-        points = np.empty((0, dim)) if first is None else np.loadtxt(
-            itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2)
+        try:
+            points = np.empty((0, dim)) if first is None else np.loadtxt(
+                itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2)
+        except ValueError as e:  # loadtxt's ragged-row message offers `usecols`
+            if "number of columns changed" in str(e):
+                raise ValueError("row arity does not match dim") from None
+            raise
     if points.shape[1] != dim:
         raise ValueError("row arity does not match dim")
     return PointCloud(points, k)
@@ -199,6 +205,7 @@ def extract_delta_q_set(cloud: PointCloud, q: float) -> DeltaQSet:
         raise EmptyInput("cannot extract from an empty cloud")
     k = cloud.k
     pts = cloud.points
+    _check_scale(pts, k)  # pts / delta is pts 2^k
     idx = np.floor(pts / cloud.delta).astype(np.int64)
     even = np.all(idx % 2 == 0, axis=1)
     if not np.any(even):
@@ -311,14 +318,6 @@ def frostman_measure(cloud: PointCloud) -> DiscreteMeasure:
 
 
 # --- Hausdorff content estimation -------------------------------------------
-
-
-@dataclass
-class ContentEstimate:
-    """Upper content estimate with the witnessing cover."""
-
-    upper: float
-    cover: list
 
 
 def normalize_to_unit_ball(points: np.ndarray):
@@ -475,23 +474,25 @@ def _min_enclosing_ball_2d(sets):
 
 
 def _level_keys(pts: np.ndarray, s: float, r_min: float):
-    """content_greedy's levels j < L: cells of side 2^-j (L, n, dim), their keys
-    (L, n) and weights (L,).  Cells and keys are elementwise: a subset's are columns."""
+    """content_greedy's levels j < L: the keys (L, n) of the cells of side 2^-j
+    that hold the points, and the weights (L,).  Keys are elementwise: a
+    subset's are columns."""
     if not (0.0 < s <= 2.0):
         raise ValueError("need 0 < s <= 2")
     n, dim = pts.shape
     n_levels = max(math.floor(math.log2(1.0 / r_min)), 0) + 1
+    _check_scale(pts, n_levels - 1)  # the finest cells bound every coarser level's
     # times 2^j, exact like ldexp(pts, j) but ~5x faster than ldexp's int64 path
     cells = np.floor(pts * np.ldexp(1.0, np.arange(n_levels))[:, None, None]).astype(np.int64)
     keys = _pack(cells.reshape(-1, dim)).reshape(n_levels, n)
     w = np.array([(math.sqrt(dim) * 2.0 ** (-j)) ** s for j in range(n_levels)])
-    return cells, keys, w
+    return keys, w
 
 
-def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
-    """Upper content estimate: density-greedy cover by balls of dyadic cells
-    (radius >= ~r_min), or the single enclosing ball when that is cheaper.
-    content_lower gives the matching lower estimate.
+def content_greedy(points, s: float, r_min: float) -> float:
+    """Upper content estimate: the cost of a density-greedy cover by balls of
+    dyadic cells (radius >= ~r_min), or of the single enclosing ball when that
+    is cheaper.  content_lower gives the matching lower estimate.
 
     Each greedy step sorts the uncovered points' keys of every level
     j = 0..floor(log2(1/r_min)) at once and picks the cell with the most
@@ -511,51 +512,45 @@ def content_greedy(points, s: float, r_min: float) -> ContentEstimate:
 
 
 def _greedy_cover(sets, s: float, r_min: float) -> list:
-    """content_greedy of each nonempty set, all of one dimension, in one batch:
-    the enclosing balls in one _min_enclosing_ball_2d call, the levels in one
-    _level_keys call on these sets' points only, and the lower bound on every
-    cover for all at once.  Only the sets it leaves open run the greedy loop."""
+    """content_greedy of each nonempty set, all of one dimension, in one batch,
+    as floats: the enclosing balls in one _min_enclosing_ball_2d call, the
+    levels in one _level_keys call on these sets' points only, and the lower
+    bound on every cover for all at once.  The sets it leaves open run _greedy_cost."""
     sizes = [x.shape[0] for x in sets]
     offsets = np.cumsum([0] + sizes[:-1])
-    cells, keys, w = _level_keys(np.concatenate(sets), s, r_min)
-    n_levels, dim = keys.shape[0], sets[0].shape[1]
-    if dim == 2:
-        centers, radii = _min_enclosing_ball_2d(sets)
+    keys, w = _level_keys(np.concatenate(sets), s, r_min)
+    if sets[0].shape[1] == 2:
+        radii = _min_enclosing_ball_2d(sets)[1]
     else:
-        centers = [0.5 * (x.min(axis=0) + x.max(axis=0)) for x in sets]
-        radii = [float(np.linalg.norm(x - c, axis=1).max()) for x, c in zip(sets, centers)]
+        radii = [float(np.linalg.norm(x - 0.5 * (x.min(axis=0) + x.max(axis=0)), axis=1).max())
+                 for x in sets]
     one_cell = np.logical_and.reduceat(keys == np.repeat(keys[:, offsets], sizes, axis=1),
                                        offsets, axis=1)
     bound = np.minimum(2.0 * w.min(), np.where(one_cell, w[:, None], math.inf).min(axis=0))
-    out = []
-    for b, (c, rad) in enumerate(zip(centers, radii)):
-        center, rad = tuple(c), max(rad, r_min)
-        enc_sum = (2.0 * rad) ** s
-        out.append(ContentEstimate(upper=enc_sum, cover=[(center, rad)]))
-        if bound[b] >= enc_sum:
-            continue
-        cols = slice(offsets[b], offsets[b] + sizes[b])
-        b_cells, b_keys = cells[:, cols], keys[:, cols]
-        covered, picks, greedy_sum = np.zeros(sizes[b], dtype=bool), [], 0.0
-        while greedy_sum < enc_sum and not covered.all():
-            live = ~covered
-            flat = np.sort(b_keys[:, live], axis=1).ravel()
-            m = flat.size // n_levels
-            first = np.concatenate(([True], flat[1:] != flat[:-1]))
-            first[::m] = True  # a run never crosses into the next level
-            starts = first.nonzero()[0]
-            # Run lengths; np.diff(append=) would cost more than the sort.
-            runs = np.concatenate((starts[1:], [flat.size])) - starts
-            # Flat order is level, then key, ascending, so argmax's first maximum
-            # is the highest score, then the coarser level, then the lower key.
-            i = starts[np.argmax(runs / w[starts // m])]
-            j, key = int(i // m), flat[i]
-            side = 2.0 ** (-j)
-            sel = live & (b_keys[j] == key)
-            cell = b_cells[j][sel][0] * side + side / 2.0
-            picks.append((tuple(cell), math.sqrt(dim) * side / 2.0))
-            greedy_sum += (math.sqrt(dim) * side) ** s
-            covered |= sel
-        if greedy_sum < enc_sum:
-            out[-1] = ContentEstimate(upper=greedy_sum, cover=picks)
+    out = [(2.0 * max(rad, r_min)) ** s for rad in radii]
+    for b in np.flatnonzero(bound < out).tolist():
+        out[b] = _greedy_cost(keys[:, offsets[b] : offsets[b] + sizes[b]], w, out[b])
     return out
+
+
+def _greedy_cost(keys: np.ndarray, w: np.ndarray, enc_sum: float) -> float:
+    """The greedy cover's cost over the points whose level keys are the columns
+    of `keys`, or enc_sum once the running sum reaches it."""
+    n_levels = keys.shape[0]
+    covered, greedy_sum = np.zeros(keys.shape[1], dtype=bool), 0.0
+    while greedy_sum < enc_sum and not covered.all():
+        live = ~covered
+        flat = np.sort(keys[:, live], axis=1).ravel()
+        m = flat.size // n_levels
+        first = np.concatenate(([True], flat[1:] != flat[:-1]))
+        first[::m] = True  # a run never crosses into the next level
+        starts = first.nonzero()[0]
+        # Run lengths; np.diff(append=) would cost more than the sort.
+        runs = np.concatenate((starts[1:], [flat.size])) - starts
+        # Flat order is level, then key, ascending, so argmax's first maximum
+        # is the highest score, then the coarser level, then the lower key.
+        i = starts[np.argmax(runs / w[starts // m])]
+        j = int(i // m)
+        covered |= live & (keys[j] == flat[i])
+        greedy_sum += float(w[j])
+    return min(greedy_sum, enc_sum)

@@ -353,9 +353,9 @@ def extract_three_arcs(
     """Scan arcs of length gamma = (eta/16)^(1/s') and cut out three
     separated groups whose cumulative per-arc content reaches eta/8.
 
-    The one place that decides the precondition: the circle's content lower
-    estimate must reach eta (_require_content), else InsufficientContent.
-    This is scan_circles on one circle.
+    The circle's content lower estimate must reach eta, else
+    InsufficientContent; _arc_scan decides it (_require_content).  This is
+    scan_circles on one circle.
     """
     (triple,) = scan_circles([(z, pts)], s_prime, eta, delta=delta)
     if isinstance(triple, InsufficientContent):
@@ -379,8 +379,7 @@ def scan_circles(circles, s_prime: float, eta: float, *, delta: float) -> list:
                 results[i] = done.value
             except InsufficientContent as err:
                 results[i] = err
-        covers = _greedy_cover(list(arcs.values()), s_prime, delta) if arcs else []
-        sends = {i: est.upper for i, est in zip(arcs, covers)}
+        sends = dict(zip(arcs, _greedy_cover(list(arcs.values()), s_prime, delta) if arcs else []))
     return results
 
 
@@ -438,6 +437,7 @@ def _arc_cell_keys(triple: ArcTriple, pts: np.ndarray, k: int):
     """Sorted packed keys of the occupied cells of side 2^-k of each of the
     three arcs' cloud points."""
     theta = circle_angles(triple.z, pts)
+    _check_scale(pts, k)  # an index past int64 breaks the cast
     keys = _pack(np.floor(pts * (1 << k)).astype(np.int64))
     return [_unique_runs(keys[(theta >= lo) & (theta < hi)])[0] for lo, hi in triple.intervals]
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,6 +63,16 @@ class TestGen:
     def test_delta_too_coarse_exit3(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "g.json", {**GEN_CFG, "k1": 3})
         assert run(["gen", "--config", cfg, "--out", tmp_path / "o"]) == 3
+
+    def test_summary_config_block_with_cantor(self, tmp_path):
+        config = {**GEN_CFG, "k1": 6, "cantor": {"m": 4, "pattern": [0, 3]}}
+        cfg = write_json(tmp_path / "g.json", config)
+        assert run(["gen", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert json.dumps(summary["config"]) == (
+            '{"cantor": [4, [0, 3]], "k1": 6, "preset": "concentric", "s": 1.0, "seed": 11, '
+            '"t": 1.0}'
+        )
 
     def test_seed_override_changes_cloud(self, gen_run, tmp_path):
         base, out = gen_run
@@ -363,6 +374,16 @@ class TestBoxdim:
         assert run(["boxdim", "--config", cfg, "--out", tmp_path / "o"]) == 3
         assert not (tmp_path / "o" / "boxdim.csv").exists()
 
+    def test_ragged_rows_exit2_one_line(self, tmp_path):
+        # loadtxt's own message for a row of another width points a CLI user
+        # at its `usecols` argument
+        (tmp_path / "c.csv").write_text("dim,k\n2,6\n1,2\n3,4,5\n")
+        config = {"cloud": str(tmp_path / "c.csv"), "k_range": [4, 5, 6]}
+        cfg = write_json(tmp_path / "bd.json", config)
+        proc = run_python(["-m", "flab.cli", "boxdim", "--config", cfg, "--out", tmp_path / "o"])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["config error: row arity does not match dim"]
+
     @pytest.mark.filterwarnings("error")
     def test_float_index_beyond_int64_exit3(self, tmp_path):
         # at k = 70 the float cell index passes int64; the range check runs
@@ -593,3 +614,41 @@ def test_outputs_match_seed_commit(workload, command, config, tmp_path):
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--seed", 0, "--out", out]) == 0
     assert file_digests(out) == EXPECTED_DIGESTS[workload]["0"]
+
+
+def test_boxdim_key_path_matches_set_count(tmp_path, monkeypatch):
+    # at k 24..26 the grid of the k1 = 6 cloud would be ~2^56 cells, so
+    # box_counts_streaming counts sorted keys; every N(2^-k) must equal a
+    # plain-Python set count over the cloud.csv that gen wrote
+    monkeypatch.setattr(inc, "_grid_counts", mock.Mock(side_effect=AssertionError))
+    assert run(["gen", "--config", write_json(tmp_path / "g.json", SEED_GEN),
+                "--out", tmp_path / "gen"]) == 0
+    cloud = tmp_path / "gen" / "cloud.csv"
+    cfg = write_json(tmp_path / "b.json", {"cloud": str(cloud), "k_range": [24, 25, 26]})
+    assert run(["boxdim", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    pts = [tuple(map(float, line.split(","))) for line in cloud.read_text().splitlines()[2:]]
+    rows = [tuple(map(int, line.split(",")))
+            for line in (tmp_path / "o" / "boxdim.csv").read_text().splitlines()[1:]]
+    assert rows == [(k, len({(math.floor(x * 2 ** k), math.floor(y * 2 ** k)) for x, y in pts}))
+                    for k in (24, 25, 26)]
+
+
+# k1 = 9, s' = 1, eta 1.0: arcs of 32 points, so the hull path runs inside
+# the batched arc covers, the greedy loop makes 22k picks, and 33 of 512
+# circles fail; every file keeps the sha256 that the one-arc-at-a-time scan wrote
+TRIPLES_K9_DIGESTS = {
+    "arc_cells.csv": "01ea93f1c5a97b863c85f813fc2070bc34449fad85f707caef69368c7f8969e3",
+    "arcs.csv": "1d14786b4fef814a9fc1f329d4ce9a879341c549176bb95578d9d9841325d5e9",
+    "summary.json": "27fe938b9fd0679e1d394e8bef2d2229ab5d04e7bef025bc70575bc6b91093b5",
+    "triples.csv": "4a6d800080f5f5159cf46940b2e52c1f784ee34fb0216d06233663f44fdafffd",
+}
+
+
+def test_triples_k9_matches_recorded_digests(tmp_path):
+    generator = {**SEED_GEN, "k1": 9}
+    config = {"generator": generator, "s_prime": 1.0, "eta_rule": 1.0}
+    cfg = write_json(tmp_path / "t.json", config)
+    out = tmp_path / "o"
+    assert run(["triples", "--config", cfg, "--out", out]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == TRIPLES_K9_DIGESTS

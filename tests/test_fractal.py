@@ -99,13 +99,13 @@ def ball_oracle(pts):
 
 
 def enclosing_oracle(pts, r_min):
-    """_enclosing_candidate on ball_oracle."""
+    """The enclosing ball's radius, at least r_min, on ball_oracle."""
     if pts.shape[1] == 2 and pts.shape[0] >= 2:
-        c, rad = ball_oracle(pts)
+        _, rad = ball_oracle(pts)
     else:
         c = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         rad = float(np.linalg.norm(pts - c, axis=1).max())
-    return tuple(c), max(rad, r_min)
+    return max(rad, r_min)
 
 
 def greedy_oracle(pts, s, r_min):
@@ -117,7 +117,6 @@ def greedy_oracle(pts, s, r_min):
     levels = list(range(max(math.floor(math.log2(1.0 / r_min)), 0) + 1))
     keys = np.stack([fr._pack(np.floor(pts * (1 << j)).astype(np.int64)) for j in levels])
     covered = np.zeros(pts.shape[0], dtype=bool)
-    picks = []
     greedy_sum = 0.0
     while not covered.all():
         best = None
@@ -133,16 +132,9 @@ def greedy_oracle(pts, s, r_min):
         _, negj, key = best
         j = -negj
         side = 2.0 ** (-j)
-        sel = live & (keys[j] == key)
-        cell = np.floor(pts[sel][0] * (1 << j)) * side + side / 2.0
-        picks.append((tuple(cell), rootd * side / 2.0))
         greedy_sum += (rootd * side) ** s
-        covered |= sel
-    center, rad = enclosing_oracle(pts, r_min)
-    enc_sum = (2.0 * rad) ** s
-    if enc_sum <= greedy_sum:
-        return enc_sum, [(center, rad)]
-    return greedy_sum, picks
+        covered |= live & (keys[j] == key)
+    return min((2.0 * enclosing_oracle(pts, r_min)) ** s, greedy_sum)
 
 
 def delta_q_oracle(cloud, q):
@@ -553,20 +545,20 @@ class TestContent:
         pts = np.array([[0.3, 0.4]])
         e1 = fr.content_greedy(pts, 0.5, 0.01)
         e2 = fr.content_greedy(pts, 0.5, 0.001)
-        assert e1.upper <= (2 * 0.01) ** 0.5 * (1 + 1e-12)
-        assert e2.upper <= (2 * 0.001) ** 0.5 * (1 + 1e-12)
-        assert e2.upper < e1.upper
-        lower = min(fr.content_lower(pts, 0.5, 0.001), e1.upper)
-        assert lower <= e1.upper
+        assert e1 <= (2 * 0.01) ** 0.5 * (1 + 1e-12)
+        assert e2 <= (2 * 0.001) ** 0.5 * (1 + 1e-12)
+        assert e2 < e1
+        lower = min(fr.content_lower(pts, 0.5, 0.001), e1)
+        assert lower <= e1
 
     def test_circle_two_sided(self):
         k = 7
         pts = circle_cloud(k)
         est = fr.content_greedy(pts, 1.0, 2.0 ** (-k))
-        lower = min(fr.content_lower(pts, 1.0, 2.0 ** (-k)), est.upper)
-        assert est.upper <= 2.0 * (1 + 1e-9)
+        lower = min(fr.content_lower(pts, 1.0, 2.0 ** (-k)), est)
+        assert est <= 2.0 * (1 + 1e-9)
         assert lower >= 1.0
-        assert lower <= est.upper
+        assert lower <= est
 
     def test_block_count_anchored_at_an_empty_cell(self):
         # cells (1, 0) and (0, 1) share only the block whose lower-left cell
@@ -602,10 +594,7 @@ class TestContent:
     # coarser cell wins, and two such cells 8 apart beat the enclosing ball
     @example(np.array([[0.25, 0.25], [0.75, 0.25], [8.25, 0.25], [8.75, 0.25]]), 1.0, 0.5)
     def test_greedy_matches_per_level_oracle(self, pts, s, r_min):
-        est = fr.content_greedy(pts, s, r_min)
-        upper, cover = greedy_oracle(pts, s, r_min)
-        assert est.upper == upper
-        assert est.cover == cover
+        assert fr.content_greedy(pts, s, r_min) == greedy_oracle(pts, s, r_min)
 
     @staticmethod
     def ball_set(seed, n, kind, log_scale):
@@ -677,11 +666,6 @@ class TestContent:
             with pytest.raises(ValueError):
                 order[0] = 0
 
-    def test_cover_record_matches_upper(self):
-        k = 6
-        est = fr.content_greedy(circle_cloud(k, r=0.7), 1.0, 2.0 ** (-k))
-        assert est.upper == pytest.approx(sum(2.0 * r for _, r in est.cover), rel=1e-12)
-
     def test_middle_half_cantor_vs_dp_oracle(self):
         # exact dynamic-programming cover over dyadic intervals of level <= 12
         level = 6
@@ -703,16 +687,7 @@ class TestContent:
         oracle = dp(0.0, 1.0)
         pts = np.column_stack([x, np.zeros_like(x)])
         est = fr.content_greedy(pts, s, delta)
-        lower = min(fr.content_lower(pts, s, delta), est.upper)
+        lower = min(fr.content_lower(pts, s, delta), est)
         assert lower <= oracle * 1.0001
-        assert est.upper <= 8.0 * lower
-        assert lower <= est.upper
-
-    def test_upper_monotone_in_s_on_recorded_radii(self):
-        rng = np.random.default_rng(8)
-        pts, _ = fr.normalize_to_unit_ball(rng.uniform(0, 1, (200, 2)))
-        est = fr.content_greedy(pts, 0.7, 2.0 ** (-8))
-        radii = [r for _, r in est.cover]
-        assert all(r <= 1.0 for r in radii)
-        sums = [sum(r ** s for r in radii) for s in (0.4, 0.7, 1.0, 1.5)]
-        assert all(a >= b for a, b in zip(sums, sums[1:]))
+        assert est <= 8.0 * lower
+        assert lower <= est

@@ -79,6 +79,23 @@ class TestBoxCount:
         with pytest.raises(ConfigInvalid):
             fr.PointCloud.create(pts, 70)
 
+    # the other entry points that cast floor(x 2^k) to int64 check it first too;
+    # content_greedy's r_min 1e-300 asks for 998 levels, the finest past a float
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", ["extract_delta_q_set", "build_triple_index",
+                                       "content_greedy"])
+    def test_entry_scale_too_fine_raises_before_cast(self, entry):
+        pts = np.array([[0.5, 0.25], [0.75, -0.5]])
+        arcs = ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0))
+        triple = inc.ArcTriple(CircleParam((0.0, 0.0), 1.0), arcs, 0.1, 0.1 / math.pi, (0.1,) * 3)
+        calls = {
+            "extract_delta_q_set": lambda: fr.extract_delta_q_set(fr.PointCloud(pts, 70), 1.0),
+            "build_triple_index": lambda: inc.build_triple_index([(triple, pts)], 70),
+            "content_greedy": lambda: fr.content_greedy(pts * 1e10, 1.0, 1e-300),
+        }
+        with pytest.raises(ConfigInvalid):
+            calls[entry]()
+
     @pytest.mark.filterwarnings("error")
     def test_scale_check_edge(self):
         # the largest x whose cell index fits a 2-D key at k = 30 (create
@@ -237,7 +254,7 @@ def scan_oracle(z, pts, s_prime, eta, delta):
     w = gamma / z.radius
     arc_of = np.minimum((inc.circle_angles(z, pts) / w).astype(np.int64), n_arcs - 1)
     contents = {
-        l: fr.content_greedy(pts[arc_of == l], s_prime, delta).upper
+        l: fr.content_greedy(pts[arc_of == l], s_prime, delta)
         for l in np.unique(arc_of).tolist()
     }
 
@@ -301,7 +318,7 @@ class TestExtractThreeArcs:
             if len(sub) == 0:
                 contents.append(0.0)
             else:
-                contents.append(fr.content_greedy(sub, 1.0, d).upper)
+                contents.append(fr.content_greedy(sub, 1.0, d))
 
         def scan(start, stop):
             cum = 0.0
@@ -396,7 +413,7 @@ class TestExtractThreeArcs:
         spoke = np.arange(1.0 + delta, 1.12, delta)[:, None] * [math.cos(w / 2), math.sin(w / 2)]
         pts = np.concatenate([circle_points(z, ang), spoke])
         arc_of = (inc.circle_angles(z, pts) / w).astype(int)
-        contents = [fr.content_greedy(pts[arc_of == l], 1.0, delta).upper
+        contents = [fr.content_greedy(pts[arc_of == l], 1.0, delta)
                     if np.any(arc_of == l) else 0.0 for l in (0, 1)]
         assert contents[0] >= eta / 8.0 and (contents[1] > 0.0) == (arc1 == "filled")
         tri = assert_scan_matches_oracle(z, pts, 1.0, eta, delta)
@@ -421,21 +438,21 @@ class TestExtractThreeArcs:
     def test_ball_bound_settles_every_wide_arc(self):
         # the triples-wide config (s' = 1, eta 0.75 at k1 = 6): 2-3 points an
         # arc, and the bound proves the enclosing ball wins on every arc
-        # before the greedy loop starts.  The levels come with None for their
-        # cells, so a greedy pick would raise TypeError.  The set's arcs are
-        # covered in lockstep: one batch a round, as many rounds as the
-        # longest single circle's scan has arcs, and the same points in all.
+        # before the greedy loop starts, which is patched to raise.  The set's
+        # arcs are covered in lockstep: one batch a round, as many rounds as
+        # the longest single circle's scan has arcs, and the same points in all.
         fs = gen.assemble_furstenberg(
             FurstenbergConfig(s=1.0, t=1.0, k1=6, preset="concentric", seed=0)
         )
         level_keys, covered = fr._level_keys, []
 
-        def no_cells(pts, s, r_min):
+        def counted(pts, s, r_min):
             covered.append(pts.shape[0])
-            _, keys, w = level_keys(pts, s, r_min)
-            return np.full(keys.shape, None, dtype=object), keys, w
+            return level_keys(pts, s, r_min)
 
-        with mock.patch.object(fr, "_level_keys", no_cells):
+        with mock.patch.object(fr, "_level_keys", counted), mock.patch.object(
+            fr, "_greedy_cost", mock.Mock(side_effect=AssertionError("a greedy pick"))
+        ):
             data = cli._arc_data(fs, 1.0, 0.75)
             rounds, points = len(covered), sum(covered)
             alone = []
