@@ -226,9 +226,10 @@ def _triples_fields(config: dict):
 
 def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
     """(ArcTriple, or None where the circle fails, circle points) per circle;
-    every circle's arcs are scanned in lockstep (incidence.scan_circles)."""
-    k1, delta = fset.config.k1, fset.config.delta
-    circles = [(z, gen._circle_points(z, angles)) for z, angles in zip(fset.circles, fset.angular)]
+    every circle's arcs are scanned in lockstep (incidence.scan_circles), on its
+    slice of the set's points before deduplication (the cloud may lack some)."""
+    k1, delta, cut = fset.config.k1, fset.config.delta, fset.offsets
+    circles = [(z, fset.points[lo:hi]) for z, lo, hi in zip(fset.circles, cut, cut[1:])]
     try:
         if eta_rule == "auto":
             eta = inc.auto_eta(s_prime, delta, k1)

@@ -60,6 +60,13 @@ def _pack(idx: np.ndarray) -> np.ndarray:
     return key
 
 
+def _cell_keys(pts: np.ndarray, k: int) -> np.ndarray:
+    """Packed keys of the cells floor(x 2^k) of `pts`, after _check_scale.  ldexp
+    is exact: it equals x / 2^-k bit for bit and needs no 2^-k, which is 0 past k 1074."""
+    _check_scale(pts, k)
+    return _pack(np.floor(np.ldexp(pts, k)).astype(np.int64))
+
+
 def _unpack(keys: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of _pack: (n,) keys back to (n, dim) int64 cell indices."""
     bits = 63 // dim
@@ -119,10 +126,7 @@ class PointCloud:
         """Build a cloud, deduplicating at resolution delta/4 (first wins)."""
         cloud = cls(np.asarray(points, dtype=float), k)
         if len(cloud) > 1:
-            _check_scale(cloud.points, cloud.k + 2)  # x / (delta / 4) is x 2^(k+2)
-            _, starts, order = _unique_runs(
-                _pack(np.floor(cloud.points / (cloud.delta / 4.0)).astype(np.int64))
-            )
+            _, starts, order = _unique_runs(_cell_keys(cloud.points, cloud.k + 2))
             cloud = cls(cloud.points[np.sort(order[starts])], k)
         return cloud
 
@@ -205,8 +209,8 @@ def extract_delta_q_set(cloud: PointCloud, q: float) -> DeltaQSet:
         raise EmptyInput("cannot extract from an empty cloud")
     k = cloud.k
     pts = cloud.points
-    _check_scale(pts, k)  # pts / delta is pts 2^k
-    idx = np.floor(pts / cloud.delta).astype(np.int64)
+    _check_scale(pts, k)  # pts / delta is pts 2^k, exact in ldexp even where delta is 0
+    idx = np.floor(np.ldexp(pts, k)).astype(np.int64)
     even = np.all(idx % 2 == 0, axis=1)
     if not np.any(even):
         # Fall back to a single point; a one-point set is vacuously a
@@ -231,7 +235,8 @@ def extract_delta_q_set(cloud: PointCloud, q: float) -> DeltaQSet:
         capped = [None] * k + [np.ones(len(reps), dtype=np.int64)]
         for j in range(k - 1, -1, -1):
             room = np.bincount(parent[j + 1], capped[j + 1], len(count[j])).astype(np.int64)
-            capped[j] = np.minimum(room, min(math.ceil(2.0 ** (q * (k - j))), len(reps)))
+            # past 2^62 the cap exceeds any count; a larger power overflows a float
+            capped[j] = np.minimum(room, min(math.ceil(2.0 ** min(q * (k - j), 62)), len(reps)))
         budget = capped[0]
         for j in range(1, k + 1):
             sib = np.lexsort((-count[j], parent[j]))
@@ -266,7 +271,7 @@ def verify_non_concentration(ds: DeltaQSet, trials: int, *, seed: int = 0) -> fl
     diam = float(np.linalg.norm(hi - lo))
     r_top = max(2.0 * diam, 4.0 * delta)
     radii = []
-    j = math.floor(math.log2(1.0 / delta))  # finest dyadic radius > delta
+    j = ds.cloud.k  # 2^-j is delta; the radii start above it
     while 2.0 ** (-j) <= r_top:
         r = 2.0 ** (-j)
         if r > delta:

@@ -4,7 +4,9 @@ A configuration (s, t, k1, preset, seed) produces a delta-separated circle
 family V inside the reference parameter box (centers in B(0,1/4), radii in
 [1/2, 2]) carrying a t-dimensional Cantor structure, plus per-circle angular
 s-sets at resolution delta/r, and the assembled planar cloud.  Everything is
-deterministic given the seed; the seed only rotates the angular sets.
+deterministic given the seed; the seed only rotates the angular sets (a
+rotation of the sorted angles, not a remainder and a sort).  Cantor levels are
+built once for all circles, and the circles' points fill one preallocated array.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigInvalid, OriginInput, OutOfAnnulus
-from .fractal import DeltaQSet, PointCloud, verify_non_concentration
+from .fractal import DeltaQSet, PointCloud, _cell_keys, _unique_runs, verify_non_concentration
 from .geometry import CircleParam
 
 PRESETS = ("concentric", "center-segment", "radius-graph")
@@ -238,6 +240,16 @@ def generate_parameter_set(config: FurstenbergConfig) -> DeltaQSet:
 
 
 @functools.lru_cache(maxsize=64)
+def _circular_cantor(m: int, pattern: tuple, levels: int):
+    """(angles, least gap) of the level-`levels` circular Cantor set, read-only, for
+    every circle; its span makes the seam gap the least inner gap, wasting no level."""
+    unit = cantor_points(CantorSpec(m, pattern, levels), (0.0, 1.0))
+    ang = unit * (2.0 * math.pi / (unit[-1] + float(np.diff(unit).min())))
+    ang.flags.writeable = False
+    return ang, min(float(np.diff(ang).min()), 2.0 * math.pi - float(ang[-1]))
+
+
+@functools.lru_cache(maxsize=64)
 def _rotation(seed) -> float:
     """The angle every angular set of `seed` is rotated by, drawn once a seed."""
     return 0.0 if seed is None else np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
@@ -263,46 +275,39 @@ def generate_angular_set(
         count = math.floor(2.0 * math.pi / step)
         angles = np.arange(count) * step
     else:
-        if cantor is None:
-            m, pattern = choose_cantor_base(s)
-        else:
-            m, pattern = cantor
-
-        def circular_cantor(levels: int) -> np.ndarray:
-            # Shrink the interval so the wraparound gap matches the internal
-            # minimum gap; otherwise the last level is wasted on the seam.
-            unit = cantor_points(CantorSpec(m, pattern, levels), (0.0, 1.0))
-            g_unit = float(np.diff(unit).min())
-            span = 2.0 * math.pi / (unit[-1] + g_unit)
-            return unit * span
-
-        levels = 1
-        while True:
-            ang = circular_cantor(levels + 1)
-            gaps = float(np.diff(ang).min())
-            wrap = 2.0 * math.pi - float(ang[-1])
-            if min(gaps, wrap) < step:
-                break
+        m, pattern = choose_cantor_base(s) if cantor is None else cantor
+        pattern, levels = tuple(pattern), 1
+        while _circular_cantor(m, pattern, levels + 1)[1] >= step:
             levels += 1
-        angles = circular_cantor(levels)
-    return np.sort((angles + _rotation(seed)) % (2.0 * math.pi))
+        angles = _circular_cantor(m, pattern, levels)[0]
+    # x ascends in [0, 4 pi); each x >= 2 pi lies below x[0] with x % 2 pi == x - 2 pi
+    # exactly (Sterbenz), so the sorted remainder is a rotation of x
+    x = angles + _rotation(seed)
+    w = x.searchsorted(2.0 * math.pi)
+    return np.concatenate((x[w:] - 2.0 * math.pi, x[:w]))
 
 
 @dataclass
 class DiscretizedFurstenbergSet:
-    """Circle family V, per-circle angle lists, and the planar union cloud."""
+    """Circle family V, per-circle angle lists, and the planar union cloud.  Circle
+    i's points before deduplication are points[offsets[i]:offsets[i + 1]], read-only;
+    cloud.points is this same array when no point was dropped."""
 
     config: FurstenbergConfig
     v: DeltaQSet
     circles: list
     angular: list
     cloud: PointCloud
+    points: np.ndarray
+    offsets: np.ndarray
 
 
-def _circle_points(z: CircleParam, angles: np.ndarray) -> np.ndarray:
-    return np.column_stack(
-        [z.center[0] + z.radius * np.cos(angles), z.center[1] + z.radius * np.sin(angles)]
-    )
+def _circle_points(z: CircleParam, angles: np.ndarray, out=None) -> np.ndarray:
+    """center + radius (cos, sin) of `angles`, into the (n, 2) block `out` if given."""
+    out = np.empty((len(angles), 2)) if out is None else out
+    np.add(z.center[0], z.radius * np.cos(angles), out=out[:, 0])
+    np.add(z.center[1], z.radius * np.sin(angles), out=out[:, 1])
+    return out
 
 
 def _angular_base(config: FurstenbergConfig):
@@ -332,7 +337,8 @@ def iter_furstenberg_points(config: FurstenbergConfig):
     """Yield per-circle planar point arrays in canonical circle order.
 
     Streaming variant of assemble_furstenberg (no global dedup) for clouds
-    too large to hold alongside their grids.
+    too large to hold alongside their grids; each chunk equals that circle's
+    slice of the assembled `points`, from the same kernel.
     """
     v = generate_parameter_set(config)
     for z, angles in _circles(config, v, _angular_base(config)):
@@ -340,18 +346,21 @@ def iter_furstenberg_points(config: FurstenbergConfig):
 
 
 def assemble_furstenberg(config: FurstenbergConfig) -> DiscretizedFurstenbergSet:
-    """Build the full discretized set; deterministic in config + seed."""
+    """Build the full discretized set; deterministic in config + seed.  Circles fill
+    one point array and one delta/4 cell-key array; one unique keeps each cell's
+    first point (as PointCloud.create), gathered only when a point was dropped."""
     v = generate_parameter_set(config)
-    circles = []
-    angular = []
-    chunks = []
-    for z, angles in _circles(config, v, _angular_base(config)):
-        circles.append(z)
-        angular.append(angles)
-        chunks.append(_circle_points(z, angles))
-    cloud = PointCloud.create(np.concatenate(chunks), config.k1)
+    circles, angular = map(list, zip(*_circles(config, v, _angular_base(config))))
+    offsets = np.cumsum([0, *map(len, angular)])
+    points, keys = np.empty((offsets[-1], 2)), np.empty(offsets[-1], dtype=np.int64)
+    for z, angles, lo, hi in zip(circles, angular, offsets, offsets[1:]):
+        keys[lo:hi] = _cell_keys(_circle_points(z, angles, points[lo:hi]), config.k1 + 2)
+    points.flags.writeable = False
+    _, starts, order = _unique_runs(keys)
+    del keys
+    kept = points if len(starts) == len(points) else points[np.sort(order[starts])]
     return DiscretizedFurstenbergSet(
-        config=config, v=v, circles=circles, angular=angular, cloud=cloud
+        config, v, circles, angular, PointCloud(kept, config.k1), points, offsets
     )
 
 

@@ -19,6 +19,7 @@ from .errors import DegenerateFit, EmptyInput, InsufficientContent
 from .fractal import (
     DiscreteMeasure,
     PointCloud,
+    _cell_keys,
     _check_scale,
     _content_scales,
     _greedy_cover,
@@ -437,8 +438,7 @@ def _arc_cell_keys(triple: ArcTriple, pts: np.ndarray, k: int):
     """Sorted packed keys of the occupied cells of side 2^-k of each of the
     three arcs' cloud points."""
     theta = circle_angles(triple.z, pts)
-    _check_scale(pts, k)  # an index past int64 breaks the cast
-    keys = _pack(np.floor(pts * (1 << k)).astype(np.int64))
+    keys = _cell_keys(pts, k)
     return [_unique_runs(keys[(theta >= lo) & (theta < hi)])[0] for lo, hi in triple.intervals]
 
 

@@ -652,3 +652,33 @@ def test_triples_k9_matches_recorded_digests(tmp_path):
     assert run(["triples", "--config", cfg, "--out", out]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert digests == TRIPLES_K9_DIGESTS
+
+
+# center-segment at s = 1, k1 = 7 drops 4,424 of its 51,456 circle points in
+# deduplication, so cloud.csv is a gathered subset and the arc stage reads the
+# undeduplicated points; every file keeps the sha256 of the concatenating assembly
+CENTER_SEGMENT = {"s": 1, "t": 1, "k1": 7, "preset": "center-segment", "seed": 0}
+CENTER_SEGMENT_DIGESTS = {
+    "gen": {
+        "cloud.csv": "96a50461ff7855bf30689a67c94857d24f68197d10faf37d23bcaa1c226a83cb",
+        "summary.json": "f39786aa02223f01113200c110bcfe380161c1d68abe6cb55d4ecb329c7fc097",
+        "v.csv": "efa3f8197c282df483526d285d2fa726a13349644fa5e445f83f01022b4934d9",
+    },
+    "triples": {
+        "arc_cells.csv": "683c099ea0ef841330cf02bf153b1cf441dccb2d9f93cc43a4ebf0e8623030dc",
+        "arcs.csv": "4171c1bae52e9b35fb2b54fe825e2b3e174a662c3ed840ad772da4da1552bdbe",
+        "summary.json": "1465f0fbc23978b533dc6101783da3e81955639e86d4b11c0577f786125b9cab",
+        "triples.csv": "e11b34ae9c9d43038613e4eab66f7299cde9943244e026af97c290fc8314f1e7",
+    },
+}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("gen", CENTER_SEGMENT),
+    ("triples", {"generator": CENTER_SEGMENT, "s_prime": 0.8}),
+])
+def test_center_segment_matches_recorded_digests(command, config, tmp_path):
+    out = tmp_path / "o"
+    assert run([command, "--config", write_json(tmp_path / "c.json", config), "--out", out]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == CENTER_SEGMENT_DIGESTS[command]

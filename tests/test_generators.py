@@ -7,11 +7,52 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from flab import cli
 from flab import generators as gen
 from flab import incidence as inc
 from flab.errors import ConfigInvalid, OriginInput, OutOfAnnulus
 from flab.generators import CantorSpec, FurstenbergConfig, cantor_points
 from flab.geometry import CircleParam
+
+
+def old_angular_set(z, s, delta, seed, cantor=None):
+    """The angular set as the remainder-and-sort generator built it: every level's
+    Cantor set rebuilt per circle, then np.sort((angles + rotation) % 2 pi)."""
+    step = delta / z.radius
+    if s == 1.0:
+        angles = np.arange(math.floor(2.0 * math.pi / step)) * step
+    else:
+        m, pattern = gen.choose_cantor_base(s) if cantor is None else cantor
+
+        def circular_cantor(levels):
+            unit = cantor_points(CantorSpec(m, pattern, levels), (0.0, 1.0))
+            return unit * (2.0 * math.pi / (unit[-1] + float(np.diff(unit).min())))
+
+        levels = 1
+        while True:
+            ang = circular_cantor(levels + 1)
+            if min(float(np.diff(ang).min()), 2.0 * math.pi - float(ang[-1])) < step:
+                break
+            levels += 1
+        angles = circular_cantor(levels)
+    return np.sort((angles + gen._rotation(seed)) % (2.0 * math.pi))
+
+
+def old_assembly(cfg):
+    """(per-circle chunks, cloud points) as the concatenating assembly built them:
+    column_stack chunks, one concatenate, then the first point of each delta/4
+    cell, found here with a plain dict."""
+    chunks = []
+    for row in gen.generate_parameter_set(cfg).cloud.points:
+        z = CircleParam((row[0], row[1]), row[2])
+        ang = old_angular_set(z, cfg.s, cfg.delta, cfg.seed, gen._angular_base(cfg))
+        chunks.append(np.column_stack(
+            [z.center[0] + z.radius * np.cos(ang), z.center[1] + z.radius * np.sin(ang)]))
+    pts = np.concatenate(chunks)
+    first = {}
+    for i, key in enumerate(map(tuple, np.floor(pts / (cfg.delta / 4.0)).astype(np.int64).tolist())):
+        first.setdefault(key, i)
+    return chunks, pts[sorted(first.values())]
 
 
 def min_separation(pts):
@@ -145,6 +186,35 @@ class TestAngularSet:
                 assert gen.generate_angular_set(z, 0.5, d, seed).tobytes() == expected.tobytes()
         assert rng.call_count == (seed is not None)
 
+    # the rotation replaces a remainder and a sort, and the Cantor levels are
+    # memoized across circles; every angle keeps its bits
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.5, 2.0),
+        st.one_of(st.just(1.0), st.floats(0.05, 0.99)),
+        st.integers(6, 14),
+        st.one_of(st.none(), st.integers(2, 16).flatmap(lambda m: st.tuples(
+            st.just(m), st.lists(st.integers(0, m - 1), min_size=2, max_size=m, unique=True)))),
+        st.one_of(st.none(), st.integers(0, 2 ** 32)),
+    )
+    def test_matches_remainder_and_sort(self, r, s, k1, cantor, seed):
+        z = CircleParam((0.1, -0.05), r)
+        cantor = None if cantor is None else (cantor[0], tuple(sorted(cantor[1])))
+        got = gen.generate_angular_set(z, s, 2.0 ** -k1, seed, cantor=cantor)
+        assert got.tobytes() == old_angular_set(z, s, 2.0 ** -k1, seed, cantor).tobytes()
+
+    def test_cantor_levels_shared_and_read_only(self):
+        d = 2.0 ** (-9)
+        gen._circular_cantor.cache_clear()
+        for r in (0.6, 0.61, 0.62):
+            gen.generate_angular_set(CircleParam((0.0, 0.0), r), 0.5, d, 1)
+        info = gen._circular_cantor.cache_info()
+        assert info.hits > info.misses  # the levels are built once, not per circle
+        ang, gap = gen._circular_cantor(4, (0, 3), 3)
+        assert not ang.flags.writeable and gap == float(np.diff(ang).min())
+        with pytest.raises(ValueError):
+            ang[0] = 1.0
+
     def test_seed_rotates_but_preserves_cardinality(self):
         d = 2.0 ** (-8)
         z = CircleParam((0.0, 0.0), 1.0)
@@ -205,6 +275,43 @@ class TestAssemble:
             gen.assemble_furstenberg(cfg)
         with pytest.raises(ConfigInvalid, match="pinned window"):
             next(gen.iter_furstenberg_points(cfg))
+
+    # the preallocated assembly against the concatenating one, on presets that
+    # drop no point, one point (radius-graph, s = 0.5) and thousands (s = 1)
+    @pytest.mark.parametrize("preset,s,t,dropped", [
+        ("concentric", 1.0, 1.0, 0), ("concentric", 0.5, 1.0, 0),
+        ("center-segment", 1.0, 1.0, 4424), ("center-segment", 0.5, 0.5, 0),
+        ("radius-graph", 1.0, 1.0, 1157), ("radius-graph", 0.5, 1.0, 1),
+    ])
+    def test_matches_concatenating_assembly(self, preset, s, t, dropped):
+        cfg = FurstenbergConfig(s=s, t=t, k1=7, preset=preset, seed=0)
+        fs = gen.assemble_furstenberg(cfg)
+        chunks, cloud = old_assembly(cfg)
+        assert fs.cloud.points.tobytes() == cloud.tobytes()
+        assert fs.points.tobytes() == np.concatenate(chunks).tobytes()
+        assert len(fs.points) - len(fs.cloud) == dropped
+        assert (fs.cloud.points is fs.points) == (dropped == 0)
+        assert not fs.points.flags.writeable  # so is the cloud, when it is the same array
+        assert fs.offsets.tolist() == np.cumsum([0, *map(len, fs.angular)]).tolist()
+        streamed = list(gen.iter_furstenberg_points(cfg))
+        assert len(streamed) == len(chunks) == len(fs.circles)
+        for i, (chunk, old) in enumerate(zip(streamed, chunks)):
+            block = fs.points[fs.offsets[i]:fs.offsets[i + 1]]
+            assert chunk.tobytes() == block.tobytes() == old.tobytes()
+
+    # _arc_data reads each circle's points from the undeduplicated array, which
+    # must equal the circle recomputed, dropped points and all
+    @pytest.mark.parametrize("preset", ["concentric", "center-segment"])
+    def test_arc_data_slices_match_recomputed(self, preset):
+        fs = gen.assemble_furstenberg(
+            FurstenbergConfig(s=1.0, t=1.0, k1=6, preset=preset, seed=0))
+        with mock.patch.object(inc, "scan_circles", wraps=inc.scan_circles) as scan:
+            data = cli._arc_data(fs, 1.0, "auto")
+        (circles, *_), _ = scan.call_args
+        assert len(circles) == len(data) == len(fs.circles)
+        for (z, pts), (_, kept), ang in zip(circles, data, fs.angular):
+            assert pts is kept
+            assert pts.tobytes() == gen._circle_points(z, ang).tobytes()
 
     def test_streaming_matches_assembled(self):
         cfg = FurstenbergConfig(s=0.5, t=1.0, k1=7, preset="concentric", seed=6)

@@ -1,4 +1,5 @@
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -95,6 +96,21 @@ class TestBoxCount:
         }
         with pytest.raises(ConfigInvalid):
             calls[entry]()
+
+    # delta / 4 underflows to 0 past k = 1072 and delta past 1074; the cell index
+    # x 2^k is an exact ldexp, so a zero cloud divides by neither
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1073, 1100])
+    @pytest.mark.parametrize("entry", ["create", "extract_delta_q_set"])
+    def test_zero_cloud_past_float_delta(self, entry, k):
+        zeros = np.zeros((3, 2))
+        t0 = time.perf_counter()
+        if entry == "create":
+            cloud = fr.PointCloud.create(zeros, k)
+        else:
+            cloud = fr.extract_delta_q_set(fr.PointCloud(zeros, k), 1.0).cloud
+        assert cloud.points.tolist() == [[0.0, 0.0]] and cloud.k == k
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.filterwarnings("error")
     def test_scale_check_edge(self):
