@@ -4,9 +4,9 @@ A configuration (s, t, k1, preset, seed) produces a delta-separated circle
 family V inside the reference parameter box (centers in B(0,1/4), radii in
 [1/2, 2]) carrying a t-dimensional Cantor structure, plus per-circle angular
 s-sets at resolution delta/r, and the assembled planar cloud.  Everything is
-deterministic given the seed; the seed only rotates the angular sets (a
-rotation of the sorted angles, not a remainder and a sort).  Cantor levels are
-built once for all circles, and the circles' points fill one preallocated array.
+deterministic given the seed; the seed only rotates the angular sets.  Cantor
+levels are built once for all circles, and the circles' points fill one
+preallocated array.
 """
 
 from __future__ import annotations
