@@ -196,8 +196,10 @@ class FurstenbergConfig:
         cantor = None
         if data.get("cantor") is not None:
             c = data["cantor"]
-            if set(c) != {"m", "pattern"}:
-                raise ValueError("cantor must have exactly the fields m, pattern")
+            if not isinstance(c, dict) or set(c) != {"m", "pattern"}:
+                raise ValueError("cantor must be an object with exactly the fields m, pattern")
+            if not isinstance(c["pattern"], list):
+                raise ValueError(f"cantor.pattern must be a list, got {c['pattern']!r}")
             cantor = (
                 _json_int(c["m"], "cantor.m"),
                 tuple(_json_int(i, "cantor.pattern entry") for i in c["pattern"]),

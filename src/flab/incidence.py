@@ -56,13 +56,10 @@ def box_count(cloud_or_points, k: int) -> CoverGrid:
     )
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyInput("no points to count")
-    _check_scale(pts, k)  # an index past int64 breaks the cast
-    idx = np.floor(pts * (1 << k)).astype(np.int64)
-    _, starts, order = _unique_runs(_pack(idx))
-    return CoverGrid(cells=idx[order[starts]])
+    return CoverGrid(cells=_unpack(_unique_runs(_cell_keys(pts, k))[0], pts.shape[1]))
 
 
-_MERGE_EVERY = 1 << 22  # buffered chunk cells between merges into the columns
+_MERGE_EVERY = 1 << 22  # buffered chunk cells between merges into the sorted keys
 # A dense grid may hold up to max(_GRID_CELLS, _GRID_CELLS_PER_POINT x points
 # streamed so far) cells: at a byte a cell, no more than the int64 key per
 # point that the key path may hold.
@@ -100,10 +97,11 @@ def box_counts_streaming(chunks, ks) -> dict:
       grows by a quarter of its extent on that side, or just far enough if
       the margin would break the size limit below.  A chunk is one scatter
       into it, and a coarser scale one OR of four strided slices.
-    - keys: each chunk's cells are deduplicated, buffered, and merged into
-      the sorted cell keys of their column at the coarsest scale.  Cells in
-      different coarsest columns never share a coarser cell, so each column
-      is counted on its own and memory stays near one key per finest cell.
+    - keys: one sorted array of packed cell keys.  Each chunk's cells are
+      deduplicated and buffered, and every _MERGE_EVERY buffered cells are
+      merged into the array, so memory stays near one key per finest cell.
+      Each coarser scale shifts all cells at once and counts the distinct
+      ones.
 
     2-D points start on the grid and keep it while it holds at most
     max(_GRID_CELLS, _GRID_CELLS_PER_POINT x points streamed so far) cells.
@@ -120,7 +118,7 @@ def box_counts_streaming(chunks, ks) -> dict:
     points = 0
     lo = hi = None  # bounding box of the finest cells so far, per axis
     grid = corner = None  # the grid and the cell at grid[0, 0]; None on keys
-    columns = {}
+    keys = np.empty(0, np.int64)
     pending = []
 
     def cover() -> bool:
@@ -161,18 +159,12 @@ def box_counts_streaming(chunks, ks) -> dict:
         grid.ravel()[flat] = True
 
     def merge():
-        fresh, _, _ = _unique_runs(np.concatenate(pending))
+        nonlocal keys
+        keys, _, _ = _unique_runs(np.concatenate([keys, *pending]))
         pending.clear()
-        col = _unpack(fresh, dim)[:, 0] >> span
-        cut = np.flatnonzero(np.diff(col)) + 1
-        for c, part in zip(col[np.r_[0, cut]].tolist(), np.split(fresh, cut)):
-            if c in columns:
-                part, _, _ = _unique_runs(np.concatenate([columns[c], part]))
-            columns[c] = part
         if dim == 2 and cover():
-            for keys in columns.values():
-                scatter(_unpack(keys, 2))
-            columns.clear()
+            scatter(_unpack(keys, 2))
+            keys = np.empty(0, np.int64)  # a keys[:0] view would keep the merged buffer
 
     buffered = 0
     for chunk in chunks:
@@ -184,13 +176,13 @@ def box_counts_streaming(chunks, ks) -> dict:
         elif pts.shape[1] != dim:
             raise ValueError(f"a chunk of {pts.shape[1]}-D points among {dim}-D ones")
         _check_scale(pts, top)  # an index past int64 breaks the cast
-        idx = np.floor(pts * (1 << top)).astype(np.int64)
+        idx = np.floor(np.ldexp(pts, top)).astype(np.int64)
         # per column: numpy reduces an (n, d) array along axis 0 ~25x slower
         chunk_lo, chunk_hi = [int(c.min()) for c in idx.T], [int(c.max()) for c in idx.T]
         lo = chunk_lo if lo is None else list(map(min, lo, chunk_lo))
         hi = chunk_hi if hi is None else list(map(max, hi, chunk_hi))
         points += len(idx)
-        if grid is not None or (dim == 2 and not columns and not pending):
+        if grid is not None or (dim == 2 and not keys.size and not pending):
             if cover():
                 scatter(idx)
                 continue
@@ -199,9 +191,8 @@ def box_counts_streaming(chunks, ks) -> dict:
                 pending.append(_pack(np.column_stack([rows + corner[0], cols + corner[1]])))
                 buffered += pending[-1].size
                 grid = None
-        keys, _, _ = _unique_runs(_pack(idx))
-        pending.append(keys)
-        buffered += keys.size
+        pending.append(_unique_runs(_pack(idx))[0])
+        buffered += pending[-1].size
         if buffered >= _MERGE_EVERY:
             merge()
             buffered = 0
@@ -210,13 +201,12 @@ def box_counts_streaming(chunks, ks) -> dict:
     if grid is not None:
         return _grid_counts(grid, ks)
     counts = dict.fromkeys(ks, 0)
-    for keys in columns.values():
-        cells, finer = _unpack(keys, dim), top
-        for k in reversed(ks):
-            cells = cells >> (finer - k)
-            _, starts, order = _unique_runs(_pack(cells))
-            cells, finer = cells[order[starts]], k
-            counts[k] += len(cells)
+    cells, finer = _unpack(keys, dim or 2), top  # dim is None when every chunk was empty
+    for k in reversed(ks):
+        cells = cells >> (finer - k)
+        _, starts, order = _unique_runs(_pack(cells))
+        cells, finer = cells[order[starts]], k
+        counts[k] = len(cells)
     return counts
 
 

@@ -74,6 +74,16 @@ class TestGen:
             '"t": 1.0}'
         )
 
+    # summary.json writes cantor as [m, pattern], but a config gives an object
+    @pytest.mark.parametrize("cantor", [[4, [0, 3]], 5, {"m": 4, "pattern": 3}])
+    def test_malformed_cantor_exit2_one_line(self, tmp_path, cantor):
+        cfg = write_json(tmp_path / "g.json", {**GEN_CFG, "cantor": cantor})
+        proc = run_python(["-m", "flab.cli", "gen", "--config", cfg, "--out", tmp_path / "o"])
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("config error: cantor")
+        assert "unhashable" not in line and "not iterable" not in line
+
     def test_seed_override_changes_cloud(self, gen_run, tmp_path):
         base, out = gen_run
         cfg = str(base / "gen.json")

@@ -229,6 +229,30 @@ class TestBoxCount:
         with pytest.raises(ConfigInvalid):
             inc.box_counts_streaming([pts], [1, 2, top])
 
+    # past k = 1023, 2^k is no float; the cell index x 2^k is an exact ldexp,
+    # so zeros stay one cell and 2^-1000, at index 2^100, is past a key
+    @pytest.mark.filterwarnings("error")
+    def test_scale_past_float_exponent(self):
+        zeros = np.zeros((2, 2))
+        assert inc.box_count(zeros, 1100).count == 1
+        assert inc.box_counts_streaming([zeros], [1100]) == {1100: 1}
+        pts = np.array([[0.0, 0.0], [0.0, 2.0 ** -1000]])
+        with pytest.raises(ConfigInvalid):
+            inc.box_count(pts, 1100)
+        with pytest.raises(ConfigInvalid):
+            inc.box_counts_streaming([pts], [1100])
+
+    def test_keys_count_every_scale_at_once(self):
+        # fine scales spread 10k points over about as many coarsest columns;
+        # the keys are one array, so one sort each for the chunk, the merge
+        # and every scale, however many columns there are
+        pts = np.random.default_rng(6).uniform(-2, 2, (10_000, 2))
+        ks = [20, 21, 22]
+        direct = {k: inc.box_count(pts, k).count for k in ks}
+        with mock.patch.object(inc, "_unique_runs", wraps=inc._unique_runs) as unique_runs:
+            assert inc.box_counts_streaming([pts], ks) == direct
+        assert unique_runs.call_count <= 5
+
 
 class TestDimensionSlope:
     def test_exact_powers(self):
