@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, EmptyInput
-from .geometry import _circumcenters, _hull_vertices
+from .geometry import _circumcenters, _hull_vertices, _runs
 
 
 def _check_scale(pts: np.ndarray, k: int, pad: int = 0) -> None:
@@ -373,29 +373,38 @@ def _scale_table(s: float, delta: float, size: int) -> np.ndarray:
     return table
 
 
+def _scale_pairs(diam: np.ndarray, n: np.ndarray, s: float, delta: float, dim: int = 2):
+    """content_lower's scales, finest first, for clouds of n[c] points within
+    diameter bounds diam[c]: the (s, delta) table cut after its first
+    d 2^-1/4 > max(diam[c], delta), at 64 if diam[c] is not finite.  Per pair: the
+    cloud, the scale's index, d, den = (d 2^-1/4)^s and reach, how far apart
+    two points of one counted set can be: inf when all count, d for the exact
+    ball count (d <= 8 delta or n <= 4096), 2 sqrt(dim) d for the block bound."""
+    top, size, finite = np.maximum(diam, delta), 64, np.isfinite(diam)
+    while (table := _scale_table(s, delta, size))[1][-1] <= top[finite].max(initial=0.0):
+        size *= 4
+    cut = np.where(finite, np.searchsorted(table[1], top, side="right") + 1, 64)
+    pc, pm = _runs(np.zeros_like(cut), cut)
+    d = table[0][pm]
+    exact = (d <= 8.0 * delta) | (n[pc] <= 4096)
+    reach = np.where(d >= diam[pc], math.inf, np.where(exact, d, 2.0 * math.sqrt(dim) * d))
+    return pc, pm, d, table[2][pm], reach
+
+
 def _content_scales(pts: np.ndarray, s: float, delta: float):
-    """content_lower's scales for `pts`, finest first: the (s, delta) table
-    cut after its first d with d 2^-1/4 > max(diameter bound, delta).  Returns
-    (den, reach, count): per scale, as arrays, the float (d 2^-1/4)^s that the
-    count is divided by and the largest distance between two points of one
-    counted set (inf when the count is every point), and count(i)."""
+    """(den, count) over content_lower's scales for `pts` (_scale_pairs):
+    count(i) bounds the points that one set of scale i's diameter holds."""
     n = pts.shape[0]
     if n == 0:
         raise EmptyInput("no points")
     diam_ub = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    top, size = max(diam_ub, delta), 64
-    while (table := _scale_table(s, delta, size))[1][-1] <= top and math.isfinite(top):
-        size *= 4
-    cut = int(np.searchsorted(table[1], top, side="right")) + 1  # bases rise 19% a step
-    d, den = table[0][:cut], table[2][:cut]
-    exact = (d <= 8.0 * delta) | (n <= 4096)
-    reach = np.where(d >= diam_ub, math.inf, np.where(exact, d, 2.0 * math.sqrt(pts.shape[1]) * d))
+    _, _, d, den, reach = _scale_pairs(np.array([diam_ub]), np.array([n]), s, delta, pts.shape[1])
     tree = []  # the kd tree, built on the first ball count
 
     def count(i: int) -> int:
-        if d[i] >= diam_ub:
+        if reach[i] == math.inf:
             return n
-        if not exact[i]:
+        if reach[i] > d[i]:  # the grid-block bound
             return min(n, _block_max_count(pts, float(d[i])))
         if not tree:
             from scipy.spatial import cKDTree
@@ -403,7 +412,7 @@ def _content_scales(pts: np.ndarray, s: float, delta: float):
             tree.append(cKDTree(pts))
         return int(tree[0].query_ball_point(pts, float(d[i]), return_length=True).max())
 
-    return den, reach, count
+    return den, count
 
 
 def content_lower(points, s: float, delta: float) -> float:
@@ -413,12 +422,12 @@ def content_lower(points, s: float, delta: float) -> float:
     #(U cap P) <= cnt(d), with cnt(d) the exact max ball count
     max_p #(P cap B(p, d)) at small d and the 2x2 grid-block bound at large
     d; over quarter-octave diameter brackets any cover then costs at least
-    #P / max_d [cnt(d) / d^s].  Callers that only need to know whether it
-    reaches a threshold decide that without computing it
-    (incidence._content_reaches).
+    #P / max_d [cnt(d) / d^s].  The arc step only needs to know whether it
+    reaches eta, and decides that for a batch of circles without computing
+    it (incidence._content_reaches).
     """
     pts = np.asarray(points, dtype=float)
-    den, _, count = _content_scales(pts, s, delta)
+    den, count = _content_scales(pts, s, delta)
     return pts.shape[0] / max(count(i) / x for i, x in enumerate(den.tolist()))
 
 

@@ -142,8 +142,8 @@ def _json_number(value, name: str) -> float:
 class FurstenbergConfig:
     """Target exponents s, t in (0,1], scale k1 (delta = 2^-k1), preset, seed.
 
-    `cantor`, when given, overrides the angular (s) subdivision base; the
-    radial/parameter (t) base is always chosen automatically.
+    `cantor` overrides the angular (s) subdivision base for s < 1, and is unused
+    at s = 1, whose sets are not Cantor; the radial/parameter (t) base is automatic.
     """
 
     s: float
@@ -313,7 +313,7 @@ def _circle_points(z: CircleParam, angles: np.ndarray, out=None) -> np.ndarray:
 
 
 def _angular_base(config: FurstenbergConfig):
-    """(m, pattern) of the angular sets; None for s = 1, whose sets are not Cantor."""
+    """(m, pattern) of the angular sets; None for s = 1 (not Cantor: `cantor` is unused)."""
     if config.s == 1.0:
         return None
     return config.cantor or choose_cantor_base(config.s)

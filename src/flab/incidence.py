@@ -24,6 +24,7 @@ from .fractal import (
     _content_scales,
     _greedy_cover,
     _pack,
+    _scale_pairs,
     _unique_runs,
     _unpack,
     content_lower,
@@ -250,52 +251,87 @@ class ArcTriple:
         return best
 
 
-def circle_angles(z: CircleParam, pts: np.ndarray) -> np.ndarray:
-    return np.mod(
-        np.arctan2(pts[:, 1] - z.center[1], pts[:, 0] - z.center[0]), 2.0 * math.pi
-    )
+def circle_angles(center, pts: np.ndarray) -> np.ndarray:
+    """Angles mod 2 pi of pts about `center`: one point, or one per row of pts."""
+    c = np.asarray(center, dtype=float)
+    return np.mod(np.arctan2(pts[:, 1] - c[..., 1], pts[:, 0] - c[..., 0]), 2.0 * math.pi)
 
 
-def _content_reaches(
-    z: CircleParam, pts: np.ndarray, theta: np.ndarray, s_prime: float, delta: float, eta: float
-) -> bool:
-    """Exactly ``content_lower(pts, s_prime, delta) >= eta``, decided
-    without computing the estimate; theta is circle_angles(z, pts).
+def _windows_clear(S, n, pc, T, width) -> np.ndarray:
+    """Per (circle pc, ceiling T, width) pair: ring[i + T] > S[i] + width for
+    every i < n, ring the circle's sorted angles S[:n] and then S[:n] + 2 pi
+    (S holds a padded row per circle): no window of `width` holds more than T."""
+    S, n, i = S[pc], n[pc, None], np.arange(S.shape[1])
+    j = i + T[:, None]
+    ring = np.take_along_axis(S, j - n * (j >= n), axis=1) + 2.0 * math.pi * (j >= n)
+    return ((ring > S + width[:, None]) | (i >= n)).all(axis=1)
+
+
+def _gaps_clear(S, n, pc, T, width) -> np.ndarray:
+    """Pairs that _windows_clear passes, shown by T h > width + 2^-47 in
+    floats, h the least computed cyclic gap of circle pc's sorted angles, the
+    seam fl(S[0] + 2 pi) - S[n - 1] included.  With u = 2^-53 and e = 2^-50,
+    each ring step is at least h / (1 + u), as a computed gap is at most the
+    true one times 1 + u; the steps past the seam, between values
+    fl(t + 2 pi), lose at most 2e in all; the n steps sum to at most 2 pi + e,
+    so T h < 7, and the test keeps width < 7.  For every i < n then
+        ring[i + T] - S[i] >= T h / (1 + u) - 2e > T h - 3e > fl(T h) - 4e
+            > fl(width + 2^-47) - 4e >= width + 3e > fl(S[i] + width) - S[i].
+    """
+    gaps = np.where(np.arange(1, S.shape[1]) < n[:, None], np.diff(S, axis=1), np.inf)
+    seam = S[:, 0] + 2.0 * math.pi - S[np.arange(n.size), n - 1]
+    return T * np.minimum(gaps.min(axis=1, initial=np.inf), seam)[pc] > width + 2.0 ** -47
+
+
+def _content_reaches(pts, centers, theta, n, s_prime: float, delta: float, eta: float):
+    """Exactly ``content_lower(cloud, s_prime, delta) >= eta`` for each cloud,
+    the runs of n[c] >= 1 rows of pts about centers[c] at angles theta.
 
     The estimate is n / max_d (cnt_d / den_d) over content_lower's scales d,
     and IEEE division is monotone, so it reaches eta iff every scale has
-    n / (cnt_d / den_d) >= eta; the scales are tried finest first and the
-    first that fails decides.  Since cnt_d <= n, a scale that passes with n
-    in place of cnt_d is skipped.  Otherwise an angular ceiling on cnt_d is
-    tried before the exact count: two points within ``reach`` of each other,
-    both at least rho_min from z's center, differ in angle by at most
-    2 asin(reach / 2 rho_min), so a counted set lies in an angular window of
-    twice that width, and no such set holds more points than the fullest
-    window over the sorted angles.  The ceiling passes iff ring[i + T] >
-    theta[i] + width for all i, T the largest m < n with n / (m / den) >= eta:
-    a searchsorted window count's float test, one gather for all scales.
+    n / (cnt_d / den_d) >= eta, as all do with n for cnt_d but the (circle,
+    scale) pairs tried.  Two points within ``reach``, both at least rho_min
+    from the center, differ in angle by at most 2 asin(reach / 2 rho_min), so
+    a counted set lies in an angular window of twice that.  A pair passes
+    when no such window holds more than T, the largest m < n with
+    n / (m / den) >= eta (bisected: the test is monotone in m), as
+    _gaps_clear or else _windows_clear shows, or else by the exact count.
     """
-    n = pts.shape[0]
-    rel = pts - np.array(z.center)
-    rho_min = float(np.hypot(rel[:, 0], rel[:, 1]).min())
-    theta = np.sort(theta)
-    ring = np.concatenate([theta, theta + 2.0 * math.pi])
+    starts, (row, col) = np.cumsum(n) - n, _runs(np.zeros_like(n), n)
+    rho_min = np.minimum.reduceat(np.hypot(*(pts - centers[row]).T), starts)
     # Relative slack that dwarfs the rounding of rho, of the angles and of the
     # kd tree's distance test, each a few ulps of 1 + |coordinates| / rho_min.
-    magnitude = max(float(np.abs(pts).max()), *map(abs, z.center))
-    slack = 1e-9 * (1.0 + magnitude / rho_min) if rho_min > 0.0 else math.inf
-    den, reach, count = _content_scales(pts, s_prime, delta)
-    tried = np.flatnonzero(n / (n / den) < eta)
-    den = den[tried]
-    ceiling = np.count_nonzero(n / (np.arange(1, n) / den[:, None]) >= eta, axis=1)
-    width = np.array([
-        2.0 * (2.0 * math.asin(r * (1.0 + slack) / (2.0 * rho_min))) * (1.0 + slack) + slack
-        if r * (1.0 + slack) < 2.0 * rho_min else math.inf  # inf: no ceiling
-        for r in reach[tried].tolist()
-    ])
-    fits = (ring[np.arange(n) + ceiling[:, None]] > theta + width[:, None]).all(axis=1)
-    return all(fit or n / (count(i) / d) >= eta
-               for i, d, fit in zip(tried.tolist(), den.tolist(), fits.tolist()))
+    magnitude = np.maximum(np.maximum.reduceat(np.abs(pts), starts).max(axis=1),
+                           np.abs(centers).max(axis=1))
+    span = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+    diam = np.sqrt(np.vecdot(span, span))  # np.linalg.norm of each row, bit for bit
+    pc, pm, _, den, reach = _scale_pairs(diam, n, s_prime, delta)
+    keep = n[pc] / (n[pc] / den) < eta
+    pc, pm, den, reach, m = pc[keep], pm[keep], den[keep], reach[keep], n[pc[keep]]
+    T, hi = np.zeros_like(m), m - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while (T < hi).any():  # a settled row may try mid = 0, an infinite quotient
+            mid = (T + hi + 1) // 2
+            up = m / (mid / den) >= eta
+            T, hi = np.where(up, mid, T), np.where(up, hi, mid - 1)
+        # rho_min 0 fails r < far, so that every width is infinite: no ceiling
+        slack = (1e-9 * (1.0 + magnitude / rho_min))[pc]
+        r, far = reach * (1.0 + slack), 2.0 * rho_min[pc]
+        width = np.where(r < far, 4.0 * np.arcsin(r / far) * (1.0 + slack) + slack, np.inf)
+    S = np.full((n.size, n.max()), 8.0)  # each circle's sorted angles, padded past 2 pi
+    S[row, col] = theta
+    S.sort(axis=1)
+    fits = _gaps_clear(S, n, pc, T, width)
+    rest = np.flatnonzero(~fits & np.isfinite(width))
+    for lo in range(0, rest.size, step := max(1, 2 ** 16 // S.shape[1])):  # 512 KB an array
+        part = rest[lo : lo + step]
+        fits[part] = _windows_clear(S, n, pc[part], T[part], width[part])
+    reaches = np.ones(n.size, dtype=bool)
+    for c in np.unique(pc[~fits]).tolist():
+        den_c, count = _content_scales(pts[starts[c] : starts[c] + n[c]], s_prime, delta)
+        reaches[c] = all(int(n[c]) / (count(i) / den_c[i]) >= eta
+                         for i in pm[~fits & (pc == c)].tolist())
+    return reaches
 
 
 class _ContentBelowEta(InsufficientContent):
@@ -306,31 +342,13 @@ class _ContentBelowEta(InsufficientContent):
         return f"content lower estimate {content_lower(pts, s, delta):.4g} below eta {eta:.4g}"
 
 
-def _require_content(
-    z: CircleParam, pts: np.ndarray, theta: np.ndarray, s_prime: float, delta: float, eta: float
-) -> None:
-    """Raise InsufficientContent unless the content lower estimate of the
-    circle z's cloud, at angles theta, reaches eta; decided, not estimated.
-
-    A subset's content bounds the set's from below, so a decimated check is
-    valid; when it is shy the full cloud decides, unless the subset was the
-    full cloud already.
-    """
-    stride = max(1, -(-pts.shape[0] // 1024))
-    if _content_reaches(z, pts[::stride], theta[::stride], s_prime, delta, eta):
-        return
-    if stride > 1 and _content_reaches(z, pts, theta, s_prime, delta, eta):
-        return
-    raise _ContentBelowEta(pts, s_prime, delta, eta)
-
-
 def auto_eta(s_prime: float, delta: float, k1: int) -> float:
     """Discretization-aware content threshold max(k1^-2, 16 (2 delta)^s').
 
     Takes the classical (log 1/delta)^-2 = k1^-2 when the induced arc length
     gamma stays >= 2*delta, else raises eta just enough; fails when that
     pushes eta above 1.  Whether a circle's content reaches it is decided by
-    _arc_scan, which scan_circles runs for every circle.
+    scan_circles, for all its circles at once.
     """
     eta = max(1.0 / (k1 * k1), 16.0 * (2.0 * delta) ** s_prime)
     if eta > 1.0 + 1e-12:
@@ -345,8 +363,8 @@ def extract_three_arcs(
     separated groups whose cumulative per-arc content reaches eta/8.
 
     The circle's content lower estimate must reach eta, else
-    InsufficientContent; _arc_scan decides it (_require_content).  This is
-    scan_circles on one circle.
+    InsufficientContent; scan_circles decides it for its circles at once
+    (_decide_content), and this is scan_circles on one circle.
     """
     (triple,) = scan_circles([(z, pts)], s_prime, eta, delta=delta)
     if isinstance(triple, InsufficientContent):
@@ -357,9 +375,13 @@ def extract_three_arcs(
 def scan_circles(circles, s_prime: float, eta: float, *, delta: float) -> list:
     """extract_three_arcs of every (z, pts) in `circles`, in lockstep: each
     round covers the next arc of every circle still scanning through one
-    _greedy_cover call.  Returns per circle its ArcTriple or the
+    _greedy_cover call, once _decide_content has decided every circle's
+    content precondition.  Returns per circle its ArcTriple or the
     InsufficientContent it raised."""
-    scans = [_arc_scan(z, np.asarray(pts, dtype=float), s_prime, eta, delta) for z, pts in circles]
+    circles = [(z, np.asarray(pts, dtype=float)) for z, pts in circles]
+    decided = _decide_content(circles, s_prime, delta, eta) if 0.0 < eta <= 1.0 else {}
+    scans = [_arc_scan(z, pts, *decided.pop(i, (None, None)), s_prime, eta, delta)
+             for i, (z, pts) in enumerate(circles)]
     results, sends = [None] * len(scans), dict.fromkeys(range(len(scans)))
     while sends:
         arcs = {}
@@ -374,16 +396,47 @@ def scan_circles(circles, s_prime: float, eta: float, *, delta: float) -> list:
     return results
 
 
-def _arc_scan(z: CircleParam, pts: np.ndarray, s_prime: float, eta: float, delta: float):
+def _decide_content(circles, s_prime: float, delta: float, eta: float) -> dict:
+    """{i: (angles, whether content_lower reaches eta)} for each nonempty
+    circles[i] = (z, pts).  Per group of circles of about 2^13 points in all,
+    which bounds the temporaries: one circle_angles over their points, then
+    _content_reaches on every cloud's strided subset pts[::ceil(n / 1024)],
+    and on the full clouds of the circles that fell short with a stride
+    above 1.  A subset's content bounds the set's from below, so either
+    reaching eta passes."""
+    live = [i for i, (_, p) in enumerate(circles) if p.shape[0]]
+    if not live:
+        return {}
+    ends, decided = np.cumsum([circles[i][1].shape[0] for i in live]), {}
+    for group in np.split(np.array(live), np.flatnonzero(np.diff(ends >> 13)) + 1):
+        pts = np.concatenate([circles[i][1] for i in group])
+        n = np.array([circles[i][1].shape[0] for i in group])
+        centers = np.array([circles[i][0].center for i in group], dtype=float)
+        theta = circle_angles(np.repeat(centers, n, axis=0), pts)
+        starts, stride = np.cumsum(n) - n, -(-n // 1024)
+        row, j = _runs(np.zeros_like(n), -(-n // stride))
+        sub = starts[row] + j * stride[row]
+        ok = _content_reaches(pts[sub], centers, theta[sub], -(-n // stride), s_prime, delta, eta)
+        short = np.flatnonzero(~ok & (stride > 1))
+        if short.size:
+            full = _runs(starts[short], n[short])[1]
+            ok[short] = _content_reaches(pts[full], centers[short], theta[full], n[short],
+                                         s_prime, delta, eta)
+        decided.update(zip(group.tolist(), zip(np.split(theta, starts[1:]), ok.tolist())))
+    return decided
+
+
+def _arc_scan(z: CircleParam, pts: np.ndarray, theta, reaches, s_prime, eta, delta):
     """extract_three_arcs as a generator: it yields the points of each filled
     arc whose content it needs next, in scan order, is sent that arc's
-    content_greedy upper estimate, and returns the ArcTriple."""
+    content_greedy upper estimate, and returns the ArcTriple; theta, reaches:
+    the circle's angles and content decision (_decide_content)."""
     if not (0.0 < eta <= 1.0):
         raise InsufficientContent("need 0 < eta <= 1")
     if pts.shape[0] == 0:
         raise InsufficientContent("empty circle cloud")
-    theta = circle_angles(z, pts)
-    _require_content(z, pts, theta, s_prime, delta, eta)
+    if not reaches:
+        raise _ContentBelowEta(pts, s_prime, delta, eta)
     r = z.radius
     gamma = (eta / 16.0) ** (1.0 / s_prime)
     assert gamma <= 1.0 / 16.0 + 1e-12
@@ -427,7 +480,7 @@ def _arc_scan(z: CircleParam, pts: np.ndarray, s_prime: float, eta: float, delta
 def _arc_cell_keys(triple: ArcTriple, pts: np.ndarray, k: int):
     """Sorted packed keys of the occupied cells of side 2^-k of each of the
     three arcs' cloud points."""
-    theta = circle_angles(triple.z, pts)
+    theta = circle_angles(triple.z.center, pts)
     keys = _cell_keys(pts, k)
     return [_unique_runs(keys[(theta >= lo) & (theta < hi)])[0] for lo, hi in triple.intervals]
 

@@ -664,6 +664,27 @@ def test_triples_k9_matches_recorded_digests(tmp_path):
     assert digests == TRIPLES_K9_DIGESTS
 
 
+# s = s' = 0.5, k1 = 7, eta 1.0: 19 of the 128 circles fall short of eta, so
+# triples exits 5 after arcs.csv, which keeps the sha256 that the one circle
+# at a time content decision wrote; deciding those circles takes the ring
+# gather and the exact counts, which no benchmark workload reaches
+TRIPLES_HALF_K7_DIGESTS = {
+    "arcs.csv": "06c75959644a281b66dd09dee9b642afb954db67e00e7d9dc97c88f7db85bafb",
+}
+
+
+def test_triples_half_k7_matches_recorded_digests(tmp_path):
+    generator = {**SEED_GEN, "s": 0.5, "k1": 7}
+    config = {"generator": generator, "s_prime": 0.5, "eta_rule": 1.0}
+    cfg = write_json(tmp_path / "t.json", config)
+    out = tmp_path / "o"
+    with mock.patch.object(inc, "_windows_clear", wraps=inc._windows_clear) as gather:
+        assert run(["triples", "--config", cfg, "--out", out]) == 5
+    assert sum(call.args[2].size for call in gather.call_args_list) > 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == TRIPLES_HALF_K7_DIGESTS
+
+
 # center-segment at s = 1, k1 = 7 drops 4,424 of its 51,456 circle points in
 # deduplication, so cloud.csv is a gathered subset and the arc stage reads the
 # undeduplicated points; every file keeps the sha256 of the concatenating assembly

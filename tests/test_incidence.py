@@ -292,7 +292,7 @@ def scan_oracle(z, pts, s_prime, eta, delta):
     gamma = (eta / 16.0) ** (1.0 / s_prime)
     n_arcs = math.ceil(2.0 * math.pi * z.radius / gamma)
     w = gamma / z.radius
-    arc_of = np.minimum((inc.circle_angles(z, pts) / w).astype(np.int64), n_arcs - 1)
+    arc_of = np.minimum((inc.circle_angles(z.center, pts) / w).astype(np.int64), n_arcs - 1)
     contents = {
         l: fr.content_greedy(pts[arc_of == l], s_prime, delta)
         for l in np.unique(arc_of).tolist()
@@ -350,7 +350,7 @@ class TestExtractThreeArcs:
         gamma = (eta / 16.0) ** 1.0
         n_arcs = math.ceil(2 * math.pi * z.radius / gamma)
         w = gamma / z.radius
-        theta = inc.circle_angles(z, pts)
+        theta = inc.circle_angles(z.center, pts)
         arc_of = np.minimum((theta / w).astype(int), n_arcs - 1)
         contents = []
         for l in range(n_arcs):
@@ -452,7 +452,7 @@ class TestExtractThreeArcs:
             ang = ang[(ang < w) | (ang >= 2.0 * w)]
         spoke = np.arange(1.0 + delta, 1.12, delta)[:, None] * [math.cos(w / 2), math.sin(w / 2)]
         pts = np.concatenate([circle_points(z, ang), spoke])
-        arc_of = (inc.circle_angles(z, pts) / w).astype(int)
+        arc_of = (inc.circle_angles(z.center, pts) / w).astype(int)
         contents = [fr.content_greedy(pts[arc_of == l], 1.0, delta)
                     if np.any(arc_of == l) else 0.0 for l in (0, 1)]
         assert contents[0] >= eta / 8.0 and (contents[1] > 0.0) == (arc1 == "filled")
@@ -509,7 +509,7 @@ class TestExtractThreeArcs:
         d = 2.0 ** (-k)
         z = CircleParam((0.05, 0.0), 1.1)
         pts = uniform_circle(z, k)
-        theta = inc.circle_angles(z, pts)
+        theta = inc.circle_angles(z.center, pts)
         half = pts[theta < math.pi]
         eta = inc.auto_eta(1.0, d, k)
         tri = inc.extract_three_arcs(z, half, 1.0, eta, delta=d)
@@ -555,6 +555,62 @@ class TestExtractThreeArcs:
             inc.extract_three_arcs(z, pts, 1.0, 0.5, delta=d)
 
 
+def decide(circles, s_prime, delta, eta):
+    """scan_circles' content decision for each (z, pts) of `circles`."""
+    decided = inc._decide_content(circles, s_prime, delta, eta)
+    return [decided[i][1] for i in range(len(circles))]
+
+
+def reaches(circles, s_prime, delta, eta):
+    """_content_reaches on the whole clouds of `circles`, all at once."""
+    n = np.array([len(pts) for _, pts in circles])
+    centers = np.array([z.center for z, _ in circles])
+    pts = np.concatenate([pts for _, pts in circles])
+    theta = inc.circle_angles(np.repeat(centers, n, axis=0), pts)
+    return inc._content_reaches(pts, centers, theta, n, s_prime, delta, eta).tolist()
+
+
+GAPS_CLEAR = inc._gaps_clear
+
+
+def gaps_then_windows(S, n, pc, T, width):
+    """_gaps_clear, asserting that the ring gather passes every pair it passes."""
+    fits = GAPS_CLEAR(S, n, pc, T, width)
+    assert inc._windows_clear(S, n, pc[fits], T[fits], width[fits]).all()
+    return fits
+
+
+@st.composite
+def decision_circle(draw):
+    """A circle and a cloud near it: one point, 2-300 points or 1025-2000,
+    over an arc, in tight clusters, with every angle taken twice (at two
+    radii, and one point repeated) or astride the 0 / 2 pi seam (one point
+    at an angle that rounds to 2 pi); optionally off the circle by up to
+    jitter and with a point at its center."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = CircleParam(tuple(rng.uniform(-0.3, 0.3, 2)), rng.uniform(0.2, 2.0))
+    n = draw(st.just(1) | st.integers(2, 300) | st.integers(1025, 2000))
+    shape = draw(st.sampled_from(["arc", "clusters", "repeated", "seam"]))
+    rad = z.radius + draw(st.sampled_from([0.0, 1e-3, 0.02])) * rng.uniform(-1.0, 1.0, n)
+    if shape == "arc":
+        ang = rng.uniform(0.0, 2.0 * math.pi * draw(st.sampled_from([0.05, 0.3, 1.0])), n)
+    elif shape == "clusters":
+        ang = rng.choice(rng.uniform(0.0, 2.0 * math.pi, 3), n) + rng.uniform(0.0, 1e-3, n)
+    elif shape == "repeated":
+        ang = np.repeat(rng.uniform(0.0, 2.0 * math.pi, -(-n // 2)), 2)[:n]
+        rad[1::2] = rad[::2][: n // 2] + 4e-3
+    else:
+        ang = rng.uniform(-0.2, 0.2, n)
+    pts = np.column_stack([z.center[0] + rad * np.cos(ang), z.center[1] + rad * np.sin(ang)])
+    if shape == "repeated":
+        pts[-1] = pts[0]
+    if shape == "seam":
+        pts[0] = z.center[0] + z.radius, np.nextafter(z.center[1], -np.inf)
+    if draw(st.booleans()):
+        pts[-1] = z.center
+    return z, pts
+
+
 class TestContentDecision:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -593,20 +649,69 @@ class TestContentDecision:
         }
         base = min(lowers.values()) if side == "both" else lowers[side]
         eta = np.nextafter(base, np.inf) if nudge == "up" else base * nudge
-        if lowers["sub"] < eta and lowers["full"] < eta:
-            with pytest.raises(InsufficientContent):
-                inc._require_content(z, pts, inc.circle_angles(z, pts), s_prime, delta, eta)
-        else:
-            inc._require_content(z, pts, inc.circle_angles(z, pts), s_prime, delta, eta)
+        assert decide([(z, pts)], s_prime, delta, eta) == [
+            lowers["sub"] >= eta or lowers["full"] >= eta
+        ]
+
+    @settings(max_examples=15, deadline=None)
+    @given(k=st.integers(5, 9), s_prime=st.sampled_from([0.55, 0.75, 1.0]),
+           circles=st.lists(decision_circle(), min_size=1, max_size=6), pick=st.integers(0, 5))
+    def test_batch_decides_each_circle_exactly(self, k, s_prime, circles, pick):
+        # at one circle's estimate and one ulp to each side of it, every
+        # circle of the batch gets the decision its own estimate gives, as it
+        # does alone, and so does the strided rule of scan_circles; every
+        # pair that the gap test passes passes the ring gather too
+        delta = 2.0 ** (-k)
+        lowers = [fr.content_lower(pts, s_prime, delta) for _, pts in circles]
+        subs = [fr.content_lower(pts[:: -(-len(pts) // 1024)], s_prime, delta)
+                for _, pts in circles]
+        c = pick % len(circles)
+        with mock.patch.object(inc, "_gaps_clear", gaps_then_windows):
+            for eta in (lowers[c], np.nextafter(lowers[c], 0.0), np.nextafter(lowers[c], np.inf)):
+                together = reaches(circles, s_prime, delta, eta)
+                assert together == [lower >= eta for lower in lowers]
+                assert [reaches([one], s_prime, delta, eta)[0] for one in circles] == together
+                assert decide(circles, s_prime, delta, eta) == [
+                    sub >= eta or lower >= eta for sub, lower in zip(subs, lowers)
+                ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.integers(1, 40),
+        even=st.booleans(),
+        base=st.sampled_from(["tightest", "gaps", "inner gaps"]),
+        ulps=st.integers(-12, 12),
+    )
+    def test_gap_test_implies_ring_gather(self, seed, n, even, base, ulps):
+        # angles evenly spaced from a random start, across the 0 / 2 pi seam,
+        # or uniform; for every ceiling T < n, widths within a few ulps of the
+        # tightest window the ring holds, of T h or of T times the least gap
+        # off the seam: a pair that the gap test passes must pass the gather
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(0.0, 2.0 * math.pi, 1 if even else n)
+        theta = np.sort(np.mod(start + np.arange(n) * (2.0 * math.pi / n if even else 0.0),
+                               2.0 * math.pi))
+        ring, T = np.concatenate([theta, theta + 2.0 * math.pi]), np.arange(n)
+        inner = np.diff(theta).min(initial=np.inf)
+        h = min(inner, theta[0] + 2.0 * math.pi - theta[-1])
+        width = {
+            "tightest": (ring[np.arange(n)[:, None] + T] - theta[:, None]).min(axis=0),
+            "gaps": T * h,
+            "inner gaps": T * min(inner, 8.0),
+        }[base]
+        width = np.maximum(width + ulps * np.spacing(width), 0.0)
+        S, count, pc = theta[None, :], np.array([n]), np.zeros(n, int)
+        fits = inc._gaps_clear(S, count, pc, T, width)
+        assert inc._windows_clear(S, count, pc[fits], T[fits], width[fits]).all()
 
     @staticmethod
     def assert_reaches_exactly(z, pts, s_prime, delta, etas=()):
         """_content_reaches is content_lower(pts) >= eta, at the estimate, one
         ulp to each side of it and at `etas`."""
-        theta = inc.circle_angles(z, pts)
         lower = fr.content_lower(pts, s_prime, delta)
         for eta in (lower, np.nextafter(lower, 0.0), np.nextafter(lower, np.inf), *etas):
-            assert inc._content_reaches(z, pts, theta, s_prime, delta, eta) == (lower >= eta)
+            assert reaches([(z, pts)], s_prime, delta, eta) == [lower >= eta]
 
     @staticmethod
     def finest_den(pts, s_prime, delta):
@@ -631,12 +736,19 @@ class TestContentDecision:
             self.assert_reaches_exactly(z, pts, 1.0, d, [eta])
 
     def test_point_at_the_center_counts_exactly(self):
-        # rho_min = 0 makes the slack infinite: no scale gets a ceiling
+        # rho_min = 0 makes the slack infinite: every pair's window is
+        # infinitely wide, so no pair passes the gap test or goes to the ring
+        # gather, and the exact counts decide
         d = 2.0 ** (-8)
         z = CircleParam((0.1, -0.05), 0.8)
         pts = np.concatenate([[z.center], circle_points(z, np.linspace(0.0, 3.0, 500))])
-        with mock.patch.object(inc.math, "asin", side_effect=AssertionError):
+        with mock.patch.object(inc, "_gaps_clear", wraps=inc._gaps_clear) as gaps, \
+                mock.patch.object(inc, "_windows_clear", wraps=inc._windows_clear) as gather, \
+                mock.patch.object(inc, "_content_scales", wraps=inc._content_scales) as count:
             self.assert_reaches_exactly(z, pts, 1.0, d, [0.5, 0.9])
+        widths = np.concatenate([call.args[4] for call in gaps.call_args_list])
+        assert widths.size and np.isinf(widths).all()
+        assert gather.call_count == 0 and count.call_count > 0
 
     def test_repeated_angles(self):
         # every angle twice, at radii r and r + delta / 2, and a duplicate point
@@ -652,7 +764,7 @@ class TestContentDecision:
 
     def test_subset_short_full_cloud_decides(self):
         # n > 1024: the strided subset falls short of eta and the full cloud
-        # reaches it, so both decisions run
+        # reaches it, so both passes of the decision run, each time
         k = 8
         d = 2.0 ** (-k)
         z = CircleParam((0.1, -0.05), 0.8)
@@ -661,12 +773,11 @@ class TestContentDecision:
         full = fr.content_lower(pts, 1.0, d)
         assert sub < full
         self.assert_reaches_exactly(z, pts, 1.0, d, [sub, full])
-        theta = inc.circle_angles(z, pts)
         with mock.patch.object(inc, "_content_reaches", wraps=inc._content_reaches) as spy:
-            inc._require_content(z, pts, theta, 1.0, d, full)
-            with pytest.raises(InsufficientContent):
-                inc._require_content(z, pts, theta, 1.0, d, np.nextafter(full, np.inf))
+            assert decide([(z, pts)], 1.0, d, full) == [True]
+            assert decide([(z, pts)], 1.0, d, np.nextafter(full, np.inf)) == [False]
         assert spy.call_count == 4
+        assert [call.args[3].tolist() for call in spy.call_args_list] == [[750], [1500]] * 2
 
     def test_strided_subset_reads_its_own_angles(self):
         # 1000 points spread round the circle, then 1000 in a cluster: the
@@ -677,14 +788,9 @@ class TestContentDecision:
         ang = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False),
                               np.linspace(1.0, 1.0 + 4.0 * d, 1000)])
         pts = circle_points(z, ang)
-        theta = inc.circle_angles(z, pts)
         sub, full = fr.content_lower(pts[::2], 1.0, d), fr.content_lower(pts, 1.0, d)
         for eta in (0.5 * min(sub, full), min(sub, full), max(sub, full), 1.5 * max(sub, full)):
-            if sub < eta and full < eta:
-                with pytest.raises(InsufficientContent):
-                    inc._require_content(z, pts, theta, 1.0, d, eta)
-            else:
-                inc._require_content(z, pts, theta, 1.0, d, eta)
+            assert decide([(z, pts)], 1.0, d, eta) == [sub >= eta or full >= eta]
 
     def test_failure_message_prints_the_full_estimate(self):
         k = 8
@@ -694,7 +800,7 @@ class TestContentDecision:
         lower = fr.content_lower(pts, 1.0, d)
         eta = 2.0 * lower
         with pytest.raises(InsufficientContent) as err:
-            inc._require_content(z, pts, inc.circle_angles(z, pts), 1.0, d, eta)
+            inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
         assert str(err.value) == f"content lower estimate {lower:.4g} below eta {eta:.4g}"
 
     def test_failing_small_circle_is_decided_once(self):
@@ -707,16 +813,33 @@ class TestContentDecision:
         with mock.patch.object(inc, "_content_reaches", wraps=inc._content_reaches) as spy:
             with pytest.raises(InsufficientContent):
                 inc.extract_three_arcs(z, pts, 1.0, eta, delta=d)
-        assert spy.call_count == 1
+        assert spy.call_count == 1 and spy.call_args.args[3].tolist() == [300]
 
     @pytest.mark.parametrize("eta_rule", ["auto", 0.75])
     def test_arc_data_decides_once_per_circle(self, eta_rule):
+        # no circle holds more than 1024 points, so each is decided once, in
+        # circle order, by one batched call for its group of about 2^13 points
         fs = gen.assemble_furstenberg(
             FurstenbergConfig(s=1.0, t=1.0, k1=6, preset="concentric", seed=0)
         )
         with mock.patch.object(inc, "_content_reaches", wraps=inc._content_reaches) as spy:
             cli._arc_data(fs, 1.0, eta_rule)
-        assert spy.call_count == len(fs.circles)
+        sizes = [call.args[3].tolist() for call in spy.call_args_list]
+        assert sum(sizes, []) == np.diff(fs.offsets).tolist()
+        assert len(sizes) == -(-fs.offsets[-1] // 2 ** 13) and min(map(len, sizes)) > 1
+
+    @pytest.mark.parametrize("eta_rule", ["auto", 0.75])
+    def test_benchmark_set_is_settled_by_gaps(self, eta_rule):
+        # the k1 = 6 set of report-k6 and triples-wide-k6: the gap test
+        # settles every pair, so the benchmark times neither the ring gather
+        # nor an exact count (test_cli pins a set that needs both)
+        fs = gen.assemble_furstenberg(
+            FurstenbergConfig(s=1.0, t=1.0, k1=6, preset="concentric", seed=0)
+        )
+        with mock.patch.object(inc, "_windows_clear", wraps=inc._windows_clear) as gather, \
+                mock.patch.object(inc, "_content_scales", wraps=inc._content_scales) as count:
+            cli._arc_data(fs, 1.0, eta_rule)
+        assert gather.call_count == count.call_count == 0
 
     def test_arc_data_never_computes_a_failing_circles_estimate(self):
         # s = 0.5 and eta 1.0 at k1 = 6: 10 of the 64 circles fall short of
