@@ -327,7 +327,7 @@ def _content_reaches(pts, centers, theta, n, s_prime: float, delta: float, eta: 
         part = rest[lo : lo + step]
         fits[part] = _windows_clear(S, n, pc[part], T[part], width[part])
     reaches = np.ones(n.size, dtype=bool)
-    for c in np.unique(pc[~fits]).tolist():
+    for c in _unique_runs(pc[~fits])[0].tolist():
         den_c, count = _content_scales(pts[starts[c] : starts[c] + n[c]], s_prime, delta)
         reaches[c] = all(int(n[c]) / (count(i) / den_c[i]) >= eta
                          for i in pm[~fits & (pc == c)].tolist())
@@ -537,8 +537,8 @@ class MultiplicityField:
     ``cells`` is the (n, 2) int64 array of every cell some annulus meets, in
     lexicographic order, and ``values`` (m) the (n,) array aligned with it.
     ``positions`` holds each atom's annulus cells as indices into ``cells``,
-    in lexicographic order, concatenated in atom order; ``per_atom_counts``
-    gives each atom's share.  Every value is the left-to-right float sum of
+    in (iy, ix) order, concatenated in atom order; ``per_atom_counts`` gives
+    each atom's share.  Every value is the left-to-right float sum of
     its covering atoms' weights in ascending atom order, so reruns agree bit
     for bit.
     """
@@ -566,8 +566,8 @@ def _annulus_cells(atoms: np.ndarray, delta: float, g: float):
     """Incidences of cells of side g whose center w satisfies
     | ||w - x|| - r | <= delta, for every atom (x, r) at once.
 
-    Returns (atom, keys): the atom index and packed cell key of each
-    incidence, atom-major and each atom's cells in lexicographic order.
+    Returns (counts, keys): each atom's number of cells and every incidence's
+    packed cell key, atom-major with each atom's cells in (iy, ix) order.
     """
     cx, cy, r = atoms[:, 0], atoms[:, 1], atoms[:, 2]
     r_out = r + delta
@@ -586,19 +586,16 @@ def _annulus_cells(atoms: np.ndarray, delta: float, g: float):
     xhi = np.sqrt(out2)
     xlo = np.sqrt(np.maximum(r_in[atom] ** 2 - dy ** 2, 0.0))
     lo, hi = _branch_ranges(x, xlo, xhi, g)
-    # a row whose two ranges overlap scans their union
+    # row i scans its left range (segment 2i), then its right one (2i + 1);
+    # where the two overlap, the left covers their union and the right is empty
     split = lo[1] > hi[0]
-    seg_row = np.concatenate([np.arange(atom.size), split.nonzero()[0]])
-    seg_lo = np.concatenate([lo[0], lo[1][split]])
-    seg_hi = np.concatenate([np.where(split, hi[0], hi[1]), hi[1][split]])
-    row, ix = _runs(seg_lo, seg_hi - seg_lo + 1)
-    row = seg_row[row]
+    n = np.where(split, hi, [hi[1], lo[1] - 1]) - lo + 1
+    row, ix = _runs(lo.T.ravel(), n.T.ravel())
+    row >>= 1  # segment 2i or 2i + 1 -> row i
     keep = np.abs(np.hypot((ix + 0.5) * g - x[row], dy[row]) - r[atom[row]]) <= delta
     row = row[keep]
-    atom = atom[row]
     keys = _pack(np.column_stack([ix[keep], iy[row]]))
-    order = np.lexsort((keys, atom))
-    return atom[order], keys[order]
+    return np.bincount(atom[row], minlength=atoms.shape[0]), keys
 
 
 def _check_annuli(atoms: np.ndarray, delta: float, grid_k: int) -> None:
@@ -611,18 +608,21 @@ def multiplicity_field(measure: DiscreteMeasure, delta: float, grid_k: int) -> M
     """m(w) = sum of weights of atoms z = (x, r) with | ||w-x|| - r | <= delta,
     evaluated at the centers w of cells of side 2^-grid_k.
 
-    The accumulation happens in ascending atom order.
+    The cells and positions come from one sort; weights add in ascending atom order.
     """
     _check_annuli(measure.points, delta, grid_k)
-    atom, keys = _annulus_cells(measure.points, delta, 2.0 ** (-grid_k))
-    uniq, _, _ = _unique_runs(keys)
-    pos = np.searchsorted(uniq, keys)
+    counts, keys = _annulus_cells(measure.points, delta, 2.0 ** (-grid_k))
+    uniq, starts, order = _unique_runs(keys)
+    del keys  # before the scatter allocates two incidence-sized arrays
+    # each incidence's cell: its run's index, scattered back through the sort
+    positions = np.empty_like(order)
+    positions[order] = np.repeat(np.arange(uniq.size), np.diff(starts, append=order.size))
     # bincount adds in input order, which is atom-major
     return MultiplicityField(
         cells=_unpack(uniq, 2),
-        values=np.bincount(pos, weights=measure.weights[atom], minlength=uniq.size),
-        per_atom_counts=np.bincount(atom, minlength=len(measure)),
-        positions=pos,
+        values=np.bincount(positions, weights=np.repeat(measure.weights, counts)),
+        per_atom_counts=counts,
+        positions=positions,
     )
 
 
@@ -690,7 +690,6 @@ def low_multiplicity_subset(field: MultiplicityField, threshold: float) -> np.nd
     ``field.per_atom_counts``) whose multiplicity lies strictly below the
     threshold, as an int64 array in atom order, from one pass over the
     incidences.  The ratio |S2|/|S1| is a reported statistic, not asserted."""
-    n_atoms = field.per_atom_counts.size
-    atom_of_incidence = np.repeat(np.arange(n_atoms), field.per_atom_counts)
-    low = field.values[field.positions] < threshold
-    return np.bincount(atom_of_incidence[low], minlength=n_atoms)
+    # the low incidences before each atom's end, less those before its start
+    n_low = np.concatenate([[0], np.cumsum((field.values < threshold)[field.positions])])
+    return np.diff(n_low[np.cumsum(field.per_atom_counts)], prepend=0)

@@ -704,6 +704,16 @@ CENTER_SEGMENT_DIGESTS = {
 }
 
 
+# center-segment at k1 = 8, s' = t' = 1, c0 0.002: the annuli overlap so much
+# that the field has 56 distinct m over 132,628 cells and the mean |S2|/|S1| is
+# 0.975; every file keeps the sha256 of the lexsorted, rank-searched field
+CENTER_SEGMENT_K8_MULTIPLICITY_DIGESTS = {
+    "cells_m.csv": "ba5181c50bfe33b1688a9d90dcae5d5aac6f7d1cc8548c51629e51707a9dd4b5",
+    "s2_ratios.csv": "ddef34aa03ce2e80120b1da1727f49cefcd8ec30e926e1c2a6641d32d649b76c",
+    "summary.json": "304d5ed6e2225d18a14eee9647e160a3055460e6998b44b6429874675d05ced9",
+}
+
+
 @pytest.mark.parametrize("command,config", [
     ("gen", CENTER_SEGMENT),
     ("triples", {"generator": CENTER_SEGMENT, "s_prime": 0.8}),
@@ -713,3 +723,13 @@ def test_center_segment_matches_recorded_digests(command, config, tmp_path):
     assert run([command, "--config", write_json(tmp_path / "c.json", config), "--out", out]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert digests == CENTER_SEGMENT_DIGESTS[command]
+
+
+def test_center_segment_multiplicity_matches_recorded_digests(tmp_path):
+    generator = write_json(tmp_path / "g.json", {**CENTER_SEGMENT, "k1": 8})
+    assert run(["gen", "--config", generator, "--out", tmp_path / "g"]) == 0
+    config = {"v": str(tmp_path / "g" / "v.csv"), "s_prime": 1, "t_prime": 1, "c0": 0.002}
+    out = tmp_path / "o"
+    assert run(["multiplicity", "--config", write_json(tmp_path / "m.json", config), "--out", out]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == CENTER_SEGMENT_K8_MULTIPLICITY_DIGESTS
