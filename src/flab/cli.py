@@ -12,14 +12,15 @@ from a generator config; the stage code is the same.  Re-running a
 command with identical inputs and seed reproduces the data files byte for
 byte; the only exception is the wall_times block of `report`.
 
-Exit codes: 0 success, 2 config parse/shape error (a non-integer integer
-field or a non-number float field included, as are a `k_range` whose finest
-scale is negative or above 1023 and a `grid_k` below -1023, whose scale 2^k
-or cell side overflows a float; every command, and `report` for every stage,
-checks its fields before it writes, so --out stays empty),
-3 invariant violation or any other library error (a scale too fine for a
-cell key, found before any cell array is allocated, and an allocation that
-numpy refuses included), 4 missing input file, 5 experiment degeneracy.
+The one rule for configs, which each command's table (_TABLES) applies before
+anything is read, built or written: a value of the wrong JSON kind, a missing
+required field or an unknown field, at any depth, exits 2; a range check
+exits with the code the table gives it.  Exit codes, a stable contract:
+0 success; 2 config error (that rule, a threshold ThresholdParams rejects, a
+malformed CSV), with --out left empty; 3 invariant violation (a k_range of
+fewer than 3 distinct scales, a generator invariant, a scale too fine for a
+cell key, an allocation numpy refuses, any other library error); 4 missing
+input file; 5 experiment degeneracy.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import fractal as fr
 from . import generators as gen
 from . import geometry as geo
 from . import incidence as inc
-from .errors import ConfigInvalid, EmptyInput, FlabError, InsufficientContent
+from .errors import ConfigInvalid, DegenerateFit, EmptyInput, FlabError, InsufficientContent
 
 SCHEMA_VERSION = 1
 
@@ -74,25 +75,143 @@ def _write_summary(outdir: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _generator_config(data, seed_override) -> gen.FurstenbergConfig:
-    if not isinstance(data, dict):
-        raise ValueError("config needs a `generator` object")
-    if seed_override is not None:
-        data = {**data, "seed": int(seed_override)}
-    return gen.FurstenbergConfig.from_json_dict(data)
+# --- configs ----------------------------------------------------------------
+# One table per command: field -> (kind, default, check).  A kind is a key of
+# _KINDS or several joined by "|"; a REQUIRED field has no default.  check(x,
+# fields) runs on a value other than None and returns what is wrong with it,
+# for exit 2, or raises a FlabError.  FurstenbergConfig and ThresholdParams
+# check their own invariants.
+
+REQUIRED = object()
+_KINDS = {  # kind: (name, test, parse); type(True) is bool, so a bool is no integer
+    "int": ("an integer", lambda x: type(x) is int, int),
+    "number": ("a number", lambda x: type(x) in (int, float), float),
+    "string": ("a string", lambda x: type(x) is str, str),
+    "object": ("an object", lambda x: type(x) is dict, dict),
+    "ints": ("a list of integers",
+             lambda x: type(x) is list and all(type(i) is int for i in x), list),
+    "cantor": ("null or an object {m: integer, pattern: list of integers}",
+               lambda x: x is None or type(x) is dict and x.keys() == {"m", "pattern"}
+               and type(x["m"]) is int and _KINDS["ints"][1](x["pattern"]),
+               lambda x: x and (x["m"], x["pattern"])),
+}
 
 
-def _path(config: dict, name: str, command: str) -> str:
-    """config[name] when it is a nonempty string, else ValueError."""
-    if not (config.get(name) and isinstance(config[name], str)):
-        raise ValueError(f"{command} config needs a `{name}` path")
-    return config[name]
+def _fields(table: dict, config: dict, prefix: str = "") -> dict:
+    """The fields of `config` by `table`: each of its kind, or at its default,
+    then range-checked; a ValueError names the field at fault."""
+    for key in config:
+        if key not in table:
+            raise ValueError(f"unknown field {prefix + key!r}")
+    fields = {}
+    for key, (kind, default, _) in table.items():
+        if key not in config and default is REQUIRED:
+            raise ValueError(f"{prefix}{key} is required")
+        fields[key] = _typed(config[key], kind, prefix + key) if key in config else default
+    for key, x in fields.items():
+        wrong = x is not None and table[key][2] and table[key][2](x, fields)
+        if wrong:
+            raise ValueError(f"{prefix}{key} {wrong}, got {x!r}")
+    return fields
 
 
-def cmd_gen(config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet = None) -> dict:
-    """Write v.csv and cloud.csv of `fset`, or of the set `config` builds."""
+def _typed(x, kind: str, name: str):
+    kinds = [_KINDS[k] for k in kind.split("|")]
+    for _, test, parse in kinds:
+        if test(x):
+            try:
+                return parse(x)
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
+    raise ValueError(f"{name} must be {' or '.join(k[0] for k in kinds)}, got {x!r}")
+
+
+def _at_least(lo):
+    return lambda x, fields: x < lo and f"must be >= {lo}"
+
+
+def _in_unit(x, fields):
+    return not 0 < x <= 1 and "must lie in (0, 1]"
+
+
+def _eta_rule(x, fields):
+    if type(x) is str:
+        return x not in ("auto", "paper") and 'must be "auto", "paper" or a number'
+    return _in_unit(x, fields)
+
+
+def _scales(ks, fields):
+    if not (ks and 0 <= max(ks) <= 1023):  # 2^k overflows a float above 1023
+        return "needs a finest scale in [0, 1023]"
+    if len(set(ks)) < 3:  # the fewest a slope takes
+        raise DegenerateFit(f"k_range needs >= 3 distinct scales, got {ks}")
+
+
+_PATH = ("string", REQUIRED, lambda x, f: not x and "must be a nonempty path")
+_GENERATOR = {"s": ("number", REQUIRED, None), "t": ("number", REQUIRED, None),
+              "k1": ("int", REQUIRED, None), "preset": ("string", REQUIRED, None),
+              "seed": ("int", REQUIRED, _at_least(0)), "cantor": ("cantor", None, None)}
+_TABLES = {
+    "gen": _GENERATOR,
+    "boxdim": {"cloud": _PATH, "k_range": ("ints", REQUIRED, _scales),
+               "s": ("number", None, lambda x, f: f["t"] is None and "needs t as well"),
+               "t": ("number", None, lambda x, f: f["s"] is None and "needs s as well")},
+    "lemma3c": {"trials": ("int", REQUIRED, _at_least(1)), "seed": ("int", 0, _at_least(0))},
+    "triples": {"generator": ("object", REQUIRED, None),  # of _GENERATOR's fields
+                "s_prime": ("number", REQUIRED, _in_unit),
+                "eta_rule": ("string|number", "auto", _eta_rule)},
+    # grid_k None is v's k1; below -1023 the cell side 2^-grid_k overflows a float
+    "multiplicity": {"v": _PATH, "grid_k": ("int", None, _at_least(-1023)),
+                     "s_prime": ("number", 0.75, None), "t_prime": ("number", 0.5, None),
+                     "epsilon": ("number", 0.1, None), "c0": ("number", inc.C0_DEFAULT, None)},
+}
+# report takes the generator and every stage field but the stages' inputs and
+# boxdim's s and t (the generator's realized ones), each of its stage's kind;
+# _report_stages fills in the ones left None
+_TABLES["report"] = {"generator": _TABLES["triples"]["generator"], **{
+    key: (kind, None, None) for stage in ("boxdim", "triples", "multiplicity")
+    for key, (kind, _, _) in _TABLES[stage].items()
+    if key not in ("cloud", "v", "generator", "s", "t")}}
+
+
+def _report_stages(p: dict) -> dict:
+    """report's stage fields: those its config gives, else defaults that its
+    generator implies or its stage's table gives, each checked by that table.
+    `c0` is accepted, not forwarded."""
+    g = p.pop("generator")
+    s, t, k1 = g.realized_s, g.realized_t, g.k1
+    stages = {"boxdim": {"k_range": list(range(max(1, k1 - 5), k1 + 1)), "s": s, "t": t},
+              "triples": {"s_prime": s},
+              "multiplicity": {"grid_k": k1, "s_prime": max(0.55, s), "t_prime": t}}
+    for stage, fields in stages.items():
+        table = {key: f for key, f in _TABLES[stage].items() if key in p or key in fields}
+        fields.update((key, p[key]) for key in table if key != "c0" and p.get(key) is not None)
+        stages[stage] = _fields(table, fields)
+    m = stages["multiplicity"]
+    inc.ThresholdParams.from_exponents(m["s_prime"], m["t_prime"], m["epsilon"], k1, c0=m["c0"])
+    return {"generator": g, **stages}
+
+
+def _parse(command: str, config: dict, seed) -> dict:
+    """The typed fields of `command`'s config; the --seed `seed`, when given,
+    replaces its seed field or its generator's."""
+    if seed is not None and "seed" in _TABLES[command]:
+        config = {**config, "seed": seed}
+    elif seed is not None and isinstance(config.get("generator"), dict):
+        config = {**config, "generator": {**config["generator"], "seed": seed}}
+    if command == "gen":
+        return gen.FurstenbergConfig(**_fields(_GENERATOR, config))
+    p = _fields(_TABLES[command], config)
+    if "generator" in p:
+        p["generator"] = gen.FurstenbergConfig(**_fields(_GENERATOR, p["generator"], "generator."))
+    return _report_stages(p) if command == "report" else p
+
+
+def cmd_gen(g: gen.FurstenbergConfig, outdir: str,
+            fset: gen.DiscretizedFurstenbergSet = None) -> dict:
+    """Write v.csv and cloud.csv of `fset`, or of the set `g` builds."""
     if fset is None:
-        fset = gen.assemble_furstenberg(_generator_config(config, seed))
+        fset = gen.assemble_furstenberg(g)
     cfg = fset.config
     fr.save_csv(fset.v.cloud, os.path.join(outdir, "v.csv"))
     fr.save_csv(fset.cloud, os.path.join(outdir, "cloud.csv"))
@@ -114,23 +233,11 @@ def cmd_gen(config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet
     }
 
 
-def _boxdim_fields(config: dict):
-    """(k_range, s, t) of a boxdim config; s and t are None unless both are given."""
-    if not config.get("k_range"):
-        raise ValueError("boxdim config needs `k_range`")
-    k_range = [gen._json_int(k, "k_range entry") for k in config["k_range"]]
-    if not 0 <= max(k_range) <= 1023:  # 2^k overflows a float above 1023
-        raise ValueError(f"k_range needs a finest scale in [0, 1023], got {max(k_range)}")
-    if "s" in config and "t" in config:
-        return k_range, gen._json_number(config["s"], "s"), gen._json_number(config["t"], "t")
-    return k_range, None, None
-
-
-def cmd_boxdim(config: dict, seed, outdir: str, cloud: fr.PointCloud = None) -> dict:
-    """Box counts of `cloud`; without one, of the file config["cloud"]."""
-    k_range, s, t = _boxdim_fields(config)
+def cmd_boxdim(p: dict, outdir: str, cloud: fr.PointCloud = None) -> dict:
+    """Box counts of `cloud`; without one, of the file p["cloud"]."""
+    k_range, s, t = p["k_range"], p["s"], p["t"]
     if cloud is None:
-        cloud = fr.load_csv(_path(config, "cloud", "boxdim"))
+        cloud = fr.load_csv(p["cloud"])
     if len(cloud) == 0:
         raise EmptyInput("cloud file has no points")
     counts = inc.box_counts_streaming([cloud.points], k_range)
@@ -160,13 +267,9 @@ def _random_frame(rng, c):
             return P
 
 
-def cmd_lemma3c(config: dict, seed, outdir: str) -> dict:
-    trials = gen._json_int(config.get("trials", 0), "trials")
-    if trials < 1:
-        raise ValueError("lemma3c config needs `trials` >= 1")
-    if seed is None:
-        seed = gen._json_int(config.get("seed", 0), "seed")
-    rng = np.random.default_rng(seed)
+def cmd_lemma3c(p: dict, outdir: str, _=None) -> dict:
+    trials = p["trials"]
+    rng = np.random.default_rng(p["seed"])
     rows = []
     max_ratio = 0.0
     enumerated = 0
@@ -212,18 +315,6 @@ def cmd_lemma3c(config: dict, seed, outdir: str) -> dict:
     }
 
 
-def _triples_fields(config: dict):
-    """(s_prime, eta_rule) of a triples config; eta_rule is "auto", "paper" or a
-    number in (0, 1]."""
-    s_prime = gen._json_number(config.get("s_prime", 0.0), "s_prime")
-    if not (0.0 < s_prime <= 1.0):
-        raise ValueError("triples config needs s_prime in (0, 1]")
-    rule = config.get("eta_rule", "auto")
-    if rule not in ("auto", "paper") and not 0.0 < gen._json_number(rule, "eta_rule") <= 1.0:
-        raise ValueError(f"eta_rule must lie in (0, 1], got {rule!r}")
-    return s_prime, rule
-
-
 def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
     """(ArcTriple, or None where the circle fails, circle points) per circle;
     every circle's arcs are scanned in lockstep (incidence.scan_circles), on its
@@ -244,13 +335,11 @@ def _arc_data(fset: gen.DiscretizedFurstenbergSet, s_prime: float, eta_rule):
             for t, (_, pts) in zip(triples, circles)]
 
 
-def cmd_triples(
-    config: dict, seed, outdir: str, fset: gen.DiscretizedFurstenbergSet = None
-) -> dict:
-    """Arc triples of `fset`; without one, of the set config["generator"] builds."""
-    s_prime, eta_rule = _triples_fields(config)
+def cmd_triples(p: dict, outdir: str, fset: gen.DiscretizedFurstenbergSet = None) -> dict:
+    """Arc triples of `fset`; without one, of the set p["generator"] builds."""
+    s_prime, eta_rule = p["s_prime"], p["eta_rule"]
     if fset is None:
-        fset = gen.assemble_furstenberg(_generator_config(config.get("generator"), seed))
+        fset = gen.assemble_furstenberg(p["generator"])
     cfg = fset.config
     data = _arc_data(fset, s_prime, eta_rule)
     fr.write_csv(
@@ -313,29 +402,19 @@ def write_cells_m(path, field: inc.MultiplicityField) -> None:
     fr.write_csv(path, "ix,iy,m", (*field.cells.T, text[np.searchsorted(uniq, bits)]))
 
 
-def _multiplicity_fields(config: dict, k1: int):
-    """(grid_k, ThresholdParams at scale k1) of a multiplicity config."""
-    grid_k = gen._json_int(config.get("grid_k", k1), "grid_k")
-    if grid_k < -1023:  # the cell side 2^-grid_k would overflow a float
-        raise ValueError(f"grid_k must be >= -1023, got {grid_k}")
-    s_prime = gen._json_number(config.get("s_prime", 0.75), "s_prime")
-    t_prime = gen._json_number(config.get("t_prime", 0.5), "t_prime")
-    epsilon = gen._json_number(config.get("epsilon", 0.1), "epsilon")
-    c0 = gen._json_number(config.get("c0", inc.C0_DEFAULT), "c0")
-    return grid_k, inc.ThresholdParams.from_exponents(s_prime, t_prime, epsilon, k1, c0=c0)
-
-
-def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -> dict:
+def cmd_multiplicity(p: dict, outdir: str, v: fr.PointCloud = None) -> dict:
     """Multiplicity field of the circle family `v`; without one, of the file
-    config["v"]."""
+    p["v"]."""
     if v is None:
-        v = fr.load_csv(_path(config, "v", "multiplicity"))
+        v = fr.load_csv(p["v"])
     if len(v) == 0:
         raise EmptyInput("parameter file has no circles")
     if v.dim != 3:
         raise ConfigInvalid("v must be a 3-column (center, radius) cloud")
     k1 = v.k
-    grid_k, params = _multiplicity_fields(config, k1)
+    grid_k = k1 if p["grid_k"] is None else p["grid_k"]
+    params = inc.ThresholdParams.from_exponents(p["s_prime"], p["t_prime"], p["epsilon"], k1,
+                                                c0=p["c0"])
     delta = v.delta
     mu = fr.frostman_measure(v).scaled(1.0 / (k1 * k1))
     field = inc.multiplicity_field(mu, delta, grid_k)
@@ -377,42 +456,26 @@ def cmd_multiplicity(config: dict, seed, outdir: str, v: fr.PointCloud = None) -
     }
 
 
-def cmd_report(config: dict, seed, outdir: str) -> dict:
-    """gen, boxdim, triples and multiplicity on one set.  Every stage's config
-    follows from the generator config, so every stage's parser runs before gen;
-    a `c0` key is not forwarded."""
-    gen_cfg = _generator_config(config.get("generator"), seed)
-    k1, s, t = gen_cfg.k1, gen_cfg.realized_s, gen_cfg.realized_t
-    box_cfg = {"k_range": config.get("k_range", list(range(max(1, k1 - 5), k1 + 1))),
-               "s": s, "t": t}
-    triples_cfg = {"s_prime": config.get("s_prime", s),
-                   "eta_rule": config.get("eta_rule", "auto")}
-    mult_cfg = {
-        "grid_k": config.get("grid_k", k1),
-        "s_prime": config.get("s_prime", max(0.55, s)),
-        "t_prime": config.get("t_prime", t),
-        "epsilon": config.get("epsilon", 0.1),
-    }
-    k_range, _, _ = _boxdim_fields(box_cfg)
-    _triples_fields(triples_cfg)
-    grid_k, _ = _multiplicity_fields(mult_cfg, k1)
+def cmd_report(p: dict, outdir: str, _=None) -> dict:
+    """gen, boxdim, triples and multiplicity on one set, each stage with the
+    fields _report_stages gave it."""
     walls = {}
     t0 = time.perf_counter()
-    fset = gen.assemble_furstenberg(gen_cfg)
-    fr._check_scale(fset.cloud.points, max(k_range))  # before gen writes a file
-    inc._check_annuli(fset.v.cloud.points, fset.v.cloud.delta, grid_k)
-    gen_summary = cmd_gen(None, None, outdir, fset=fset)
+    fset = gen.assemble_furstenberg(p["generator"])
+    fr._check_scale(fset.cloud.points, max(p["boxdim"]["k_range"]))  # before gen writes a file
+    inc._check_annuli(fset.v.cloud.points, fset.v.cloud.delta, p["multiplicity"]["grid_k"])
+    gen_summary = cmd_gen(p["generator"], outdir, fset)
     walls["gen"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    box_summary = cmd_boxdim(box_cfg, None, outdir, cloud=fset.cloud)
+    box_summary = cmd_boxdim(p["boxdim"], outdir, fset.cloud)
     walls["boxdim"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    triples_summary = cmd_triples(triples_cfg, None, outdir, fset=fset)
+    triples_summary = cmd_triples(p["triples"], outdir, fset)
     walls["triples"] = time.perf_counter() - t0
     v_cloud = fset.v.cloud
     del fset  # the multiplicity stage needs only V; free the cloud and circles
     t0 = time.perf_counter()
-    mult_summary = cmd_multiplicity(mult_cfg, None, outdir, v=v_cloud)
+    mult_summary = cmd_multiplicity(p["multiplicity"], outdir, v_cloud)
     walls["multiplicity"] = time.perf_counter() - t0
     return {
         "command": "report",
@@ -424,6 +487,8 @@ def cmd_report(config: dict, seed, outdir: str) -> dict:
     }
 
 
+# main calls each with its parsed config, --out and None; report passes its
+# stages the input it holds instead
 _COMMANDS = {
     "gen": cmd_gen,
     "boxdim": cmd_boxdim,
@@ -447,7 +512,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        summary = _COMMANDS[args.command](config, args.seed, args.out)
+        summary = _COMMANDS[args.command](_parse(args.command, config, args.seed), args.out, None)
         _write_summary(args.out, summary)
         return EXIT_OK
     except FileNotFoundError as e:

@@ -41,8 +41,8 @@ class CantorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "pattern", tuple(sorted(int(i) for i in self.pattern)))
-        if self.m < 2:
-            raise ConfigInvalid("subdivision m must be >= 2")
+        if not 2 <= self.m <= 2 ** 53:  # m^-level is computed in floats
+            raise ConfigInvalid("subdivision m must lie in [2, 2^53]")
         if not self.pattern or len(set(self.pattern)) != len(self.pattern):
             raise ConfigInvalid("pattern must be a nonempty set of indices")
         if self.pattern[0] < 0 or self.pattern[-1] >= self.m:
@@ -121,23 +121,6 @@ def _levels_for_separation(m: int, pattern, length: float, min_gap: float) -> in
             return levels
 
 
-def _json_int(value, name: str) -> int:
-    """``value`` when it is a JSON integer (a bool is not), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _json_number(value, name: str) -> float:
-    """``value`` as a float when it is a JSON number (a bool is not), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
-
-
 @dataclass(frozen=True)
 class FurstenbergConfig:
     """Target exponents s, t in (0,1], scale k1 (delta = 2^-k1), preset, seed.
@@ -158,6 +141,8 @@ class FurstenbergConfig:
             raise ConfigInvalid("s and t must lie in (0, 1]")
         if self.k1 <= 5:
             raise ConfigInvalid("delta too coarse: need k1 >= 6")
+        if self.k1 > 1074:  # 2^-k1 rounds to 0
+            raise ConfigInvalid("delta too fine: need k1 <= 1074")
         if self.preset not in PRESETS:
             raise ConfigInvalid(f"unknown preset {self.preset!r}")
         if self.cantor is not None:
@@ -181,37 +166,6 @@ class FurstenbergConfig:
     def realized_t(self) -> float:
         """Dimension log n / log m of the parameter family's base."""
         return CantorSpec(*choose_cantor_base(self.t), 1).realized_dim
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FurstenbergConfig":
-        allowed = {"s", "t", "k1", "preset", "seed", "cantor"}
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"s", "t", "k1", "preset", "seed"} - set(data)
-        if missing:
-            raise ValueError(f"missing config fields: {sorted(missing)}")
-        cantor = None
-        if data.get("cantor") is not None:
-            c = data["cantor"]
-            if not isinstance(c, dict) or set(c) != {"m", "pattern"}:
-                raise ValueError("cantor must be an object with exactly the fields m, pattern")
-            if not isinstance(c["pattern"], list):
-                raise ValueError(f"cantor.pattern must be a list, got {c['pattern']!r}")
-            cantor = (
-                _json_int(c["m"], "cantor.m"),
-                tuple(_json_int(i, "cantor.pattern entry") for i in c["pattern"]),
-            )
-        return cls(
-            s=_json_number(data["s"], "s"),
-            t=_json_number(data["t"], "t"),
-            k1=_json_int(data["k1"], "k1"),
-            preset=str(data["preset"]),
-            seed=_json_int(data["seed"], "seed"),
-            cantor=cantor,
-        )
 
 
 def generate_parameter_set(config: FurstenbergConfig) -> DeltaQSet:

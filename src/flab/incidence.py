@@ -673,9 +673,9 @@ class ThresholdParams:
         eta = min(epsilon / (2.0 * t_prime), (2.0 * s_prime - 1.0) / 2.0)
         a_param = delta ** (-eta)
         lam = delta ** (1.0 - s_prime) / (2.0 * c0 * 4.0 ** s_prime * k1 * k1)
-        threshold = a_param ** t_prime * lam ** (-2.0 * t_prime) * delta ** t_prime
-        if not (0.0 < lam <= 1.0):
+        if not (0.0 < lam <= 1.0):  # before lam^(-2t') divides by a 0 lam
             raise ValueError("lambda escaped (0, 1]")
+        threshold = a_param ** t_prime * lam ** (-2.0 * t_prime) * delta ** t_prime
         return cls(
             eta=eta,
             a_param=a_param,

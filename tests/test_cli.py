@@ -1,14 +1,19 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flab import cli
 from flab import fractal as fr
@@ -733,3 +738,194 @@ def test_center_segment_multiplicity_matches_recorded_digests(tmp_path):
     assert run(["multiplicity", "--config", write_json(tmp_path / "m.json", config), "--out", out]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert digests == CENTER_SEGMENT_K8_MULTIPLICITY_DIGESTS
+
+
+def run_logged(args):
+    """(exit code, the lines flab logs) of an in-process run, warnings as errors."""
+    records = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = records.append
+    logger = logging.getLogger("flab")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([str(a) for a in args])
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return code, [line for r in records for line in r.getMessage().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory holding a small v.csv (three circles) and cloud.csv at k = 6."""
+    d = tmp_path_factory.mktemp("inputs")
+    fr.save_csv(fr.PointCloud(np.array([[0.0, 0.0, 1.0], [0.01, 0.0, 1.0], [0.0, 0.02, 1.5]]), 6),
+                d / "v.csv")
+    fr.save_csv(fr.PointCloud(np.random.default_rng(0).uniform(-1, 1, (64, 2)), 6), d / "cloud.csv")
+    return d
+
+
+INTERNALS = ("not iterable", "unhashable", "NoneType", "object of type")
+
+# (command, config under the inputs directory, extra arguments, the field the
+# one error line must name, exit code); the unknown keys and the half s/t pairs
+# exited 0 with the field ignored until the config tables rejected them
+NAMED_FIELD_ERRORS = {
+    "boxdim-k_range-int": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"), "k_range": 5},
+                           [], "k_range", 2),
+    "boxdim-k_range-string": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"),
+                                                   "k_range": "456"}, [], "k_range", 2),
+    "boxdim-k_range-object": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"),
+                                                   "k_range": {"4": 1}}, [], "k_range", 2),
+    "report-k_range-int": ("report", lambda d: {"generator": SEED_GEN, "k_range": 5},
+                           [], "k_range", 2),
+    "gen-seed": ("gen", lambda d: {**SEED_GEN, "seed": -1}, [], "seed", 2),
+    "gen-seed-flag": ("gen", lambda d: SEED_GEN, ["--seed", -1], "seed", 2),
+    "triples-seed-flag": ("triples", lambda d: {"generator": SEED_GEN, "s_prime": 1.0},
+                          ["--seed", -1], "seed", 2),
+    "lemma3c-seed": ("lemma3c", lambda d: {"trials": 1, "seed": -1}, [], "seed", 2),
+    "lemma3c-seed-flag": ("lemma3c", lambda d: {"trials": 1}, ["--seed", -1], "seed", 2),
+    "multiplicity-unknown": ("multiplicity", lambda d: {"v": str(d / "v.csv"), "gridk": 3},
+                             [], "gridk", 2),
+    "report-unknown": ("report", lambda d: {"generator": SEED_GEN, "s_prim": 0.2},
+                       [], "s_prim", 2),
+    "triples-unknown": ("triples", lambda d: {"generator": SEED_GEN, "s_prime": 1.0, "eta": 0.5},
+                        [], "eta", 2),
+    "lemma3c-unknown": ("lemma3c", lambda d: {"trails": 50}, [], "trails", 2),
+    "report-generator-unknown": ("report", lambda d: {"generator": {**SEED_GEN, "k": 6}},
+                                 [], "generator.k", 2),
+    "boxdim-s-without-t": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"),
+                                                "k_range": [4, 5, 6], "s": 1}, [], "t", 2),
+    "boxdim-t-without-s": ("boxdim", lambda d: {"cloud": str(d / "cloud.csv"),
+                                                "k_range": [4, 5, 6], "t": 1}, [], "s", 2),
+    "triples-s_prime-missing": ("triples", lambda d: {"generator": SEED_GEN}, [], "s_prime", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_FIELD_ERRORS))
+def test_config_error_names_its_field(case, inputs, tmp_path):
+    command, config, extra, field, code = NAMED_FIELD_ERRORS[case]
+    cfg = write_json(tmp_path / "c.json", config(inputs))
+    out = tmp_path / "o"
+    got, lines = run_logged([command, "--config", cfg, *extra, "--out", out])
+    assert got == code
+    (line,) = lines
+    assert field in line and not any(text in line for text in INTERNALS), line
+    assert os.listdir(out) == []
+
+
+# past k1 = 1074 delta = 2^-k1 is 0, and 10**400 is no float at all
+@pytest.mark.parametrize("k1", [1075, 10**400], ids=["1075", "10**400"])
+def test_delta_too_fine_exit3_one_line(k1, tmp_path):
+    cfg = write_json(tmp_path / "g.json", {**SEED_GEN, "k1": k1})
+    out = tmp_path / "o"
+    code, lines = run_logged(["gen", "--config", cfg, "--out", out])
+    assert code == 3 and len(lines) == 1 and "k1" in lines[0]
+    assert os.listdir(out) == []
+
+
+# library ranges that raised past main: an infinite c0 makes lambda 0, which
+# lambda^(-2t') divided by, and m^-level overflowed a float for m = 10**400
+@pytest.mark.parametrize("command,config,code", [
+    ("multiplicity", lambda d: {"v": str(d / "v.csv"), "c0": math.inf}, 2),
+    ("gen", lambda d: {**SEED_GEN, "s": 0.5, "cantor": {"m": 10**400, "pattern": [0, 3]}}, 3),
+], ids=["c0-infinite", "cantor-m-huge"])
+def test_library_range_one_line(command, config, code, inputs, tmp_path):
+    cfg = write_json(tmp_path / "c.json", config(inputs))
+    out = tmp_path / "o"
+    got, lines = run_logged([command, "--config", cfg, "--out", out])
+    assert got == code and len(lines) == 1
+    assert os.listdir(out) == []
+
+
+# a slope needs 3 distinct scales: a k_range of fewer exits 3 (DegenerateFit)
+# before anything is read or written
+@pytest.mark.parametrize("command,k_range", [("boxdim", [4, 5]), ("boxdim", [5, 5, 5]),
+                                             ("report", [5, 6])])
+def test_too_few_scales_exit3_before_writing(command, k_range, inputs, tmp_path, monkeypatch):
+    monkeypatch.setattr(fr, "load_csv", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(gen, "assemble_furstenberg", mock.Mock(side_effect=AssertionError))
+    source = {"cloud": str(inputs / "cloud.csv")} if command == "boxdim" else {
+        "generator": SEED_GEN}
+    cfg = write_json(tmp_path / "c.json", {**source, "k_range": k_range})
+    out = tmp_path / "o"
+    code, lines = run_logged([command, "--config", cfg, "--out", out])
+    assert code == 3 and len(lines) == 1 and "k_range" in lines[0]
+    assert os.listdir(out) == []
+
+
+def test_readme_schema_row_names_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    for command, table in cli._TABLES.items():
+        (row,) = [line for line in readme if line.startswith(f"| `{command}` |")]
+        missing = [name for name in table if f"`{name}`" not in row]
+        assert not missing, (command, missing)
+
+
+# One mutation of a valid config per example: a value (a leaf or a whole
+# object) swapped for one of FUZZ_VALUES, a key dropped, or an unknown key added.
+# No draw is large: the bases sit at k1 = 6 and grid_k = 6, a k1 or grid_k of
+# 10**400 fails its range check at once, and 10**400 is not drawn for trials,
+# which nothing bounds yet (lemma3c would run without end).
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, 10**400, -1, 0, True, "x", [1], None, {}]
+FUZZ_BASES = {
+    "gen": lambda d: {**SEED_GEN, "s": 0.5, "cantor": {"m": 4, "pattern": [0, 3]}},
+    "boxdim": lambda d: {"cloud": str(d / "cloud.csv"), "k_range": [4, 5, 6], "s": 1, "t": 1},
+    "lemma3c": lambda d: {"trials": 2, "seed": 0},
+    "triples": lambda d: {"generator": SEED_GEN, "s_prime": 1.0, "eta_rule": "auto"},
+    "multiplicity": lambda d: {"v": str(d / "v.csv"), "grid_k": 6, "s_prime": 0.75,
+                               "t_prime": 0.5, "epsilon": 0.1, "c0": 14.5},
+    "report": lambda d: {"generator": SEED_GEN, "k_range": [4, 5, 6], "s_prime": 1.0,
+                         "t_prime": 1.0, "epsilon": 0.1, "grid_k": 6, "eta_rule": "auto",
+                         "c0": 1.0},
+}
+
+
+def paths(node, path=()):
+    """The path of every value below `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from paths(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_one_mutation_keeps_exit_code_contract(command, data, inputs):
+    config = json.loads(json.dumps(FUZZ_BASES[command](inputs)))
+    action = data.draw(st.sampled_from(["swap", "drop", "add"]))
+    if action == "add":
+        objects = [()] + [p for p in paths(config) if isinstance(_at(config, p), dict)]
+        path, value = data.draw(st.sampled_from(objects)) + ("zzz",), 1
+    else:
+        path = data.draw(st.sampled_from(list(paths(config))))
+        value = data.draw(st.sampled_from(
+            [v for v in FUZZ_VALUES if not (path[-1] == "trials" and v == 10**400)]))
+    parent = _at(config, path[:-1])
+    if action == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as d:
+        cfg = os.path.join(d, "c.json")
+        with open(cfg, "w") as fh:
+            json.dump(config, fh)
+        out = os.path.join(d, "o")
+        code, lines = run_logged([command, "--config", cfg, "--out", out])
+        assert code in {0, 2, 3, 4, 5}
+        assert not any(text in line for line in lines for text in INTERNALS), lines
+        if code == 2:
+            assert os.listdir(out) == [] and len(lines) == 1, lines
+
